@@ -1,9 +1,10 @@
 GO ?= go
 
-.PHONY: ci vet build test race race-pipeline fault-soak adapt-soak ingest-soak fuzz-smoke bench bench-json bench-gate golden cover
+.PHONY: ci vet build test perfbench race race-pipeline fault-soak adapt-soak ingest-soak fuzz-smoke bench bench-json bench-gate golden cover
 
-# ci is the full gate: static checks, build, the test suite, a short
-# fuzz smoke over every fuzz target, the race-enabled pass over the
+# ci is the full gate: static checks, build, the test suite, the
+# repository benchmark's own checks, a short fuzz smoke over every
+# fuzz target, the race-enabled pass over the
 # concurrent pipeline (the packages where races can actually live),
 # the deterministic chaos soak, the adaptive-link chaos soak (the
 # closed-loop controller must beat every surviving fixed operating
@@ -14,7 +15,7 @@ GO ?= go
 # laptop (adapt-soak simulates 32 multi-second sessions and dominates).
 # The full-suite race run stays available as `make race` but is too
 # slow for the default gate.
-ci: vet build test fuzz-smoke race-pipeline fault-soak adapt-soak ingest-soak bench bench-gate
+ci: vet build test perfbench fuzz-smoke race-pipeline fault-soak adapt-soak ingest-soak bench bench-gate
 
 vet:
 	$(GO) vet ./...
@@ -28,6 +29,14 @@ build:
 # `go test -shuffle=<seed printed in the failing log>`.
 test:
 	$(GO) test -shuffle=on ./...
+
+# perfbench vets and unit-tests the repository benchmark (its own Go
+# module under perfbench/, which builds against this checkout), so an
+# internal API change that breaks the benchmark fails here rather than
+# in a benchmark run. -short skips its fleet smoke run (~12 s total).
+perfbench:
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test -short ./...
 
 race:
 	$(GO) test -race ./...
@@ -83,6 +92,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzFrontEndDifferential$$' -fuzztime=5s ./internal/modem/
 	$(GO) test -run='^$$' -fuzz='^FuzzCalibrationTLV$$' -fuzztime=5s ./internal/packet/
 	$(GO) test -run='^$$' -fuzz='^FuzzCalSnapshot$$' -fuzztime=5s ./internal/packet/
+	$(GO) test -run='^$$' -fuzz='^FuzzWireFrame$$' -fuzztime=5s ./internal/ingest/
 
 # golden regenerates the committed golden-frame digests under
 # internal/modem/testdata/golden/ from the scenario definitions in

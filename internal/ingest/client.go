@@ -62,7 +62,7 @@ func runSessionConn(conn net.Conn, hello Hello, frames []*camera.Frame, quantBit
 	if err := bw.Flush(); err != nil {
 		return nil, err
 	}
-	typ, body, err := readMessage(br)
+	typ, body, err := readMessage(br, nil)
 	if err != nil {
 		return nil, fmt.Errorf("ingest: session rejected: %w", err)
 	}
@@ -88,12 +88,14 @@ func runSessionConn(conn net.Conn, hello Hello, frames []*camera.Frame, quantBit
 	readerWG.Add(1)
 	go func() {
 		defer readerWG.Done()
+		var buf []byte
 		for {
-			typ, body, err := readMessage(br)
+			typ, body, err := readMessage(br, buf)
 			if err != nil {
 				readerErr = err
 				return
 			}
+			buf = body
 			switch typ {
 			case msgAck:
 				a, err := decodeAck(body)

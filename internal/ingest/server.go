@@ -2,6 +2,7 @@ package ingest
 
 import (
 	"bufio"
+	"container/list"
 	"context"
 	"encoding/json"
 	"errors"
@@ -9,11 +10,13 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"colorbars/internal/camera"
 	"colorbars/internal/coding"
 	"colorbars/internal/csk"
 	"colorbars/internal/modem"
@@ -41,7 +44,8 @@ type Config struct {
 	OutputDepth  int
 	StallTimeout time.Duration
 	// CacheSize / CacheTTL bound the calibration cache (zero =
-	// 1024 entries / 10 minutes).
+	// 1024 entries / 10 minutes). CacheSize also bounds the per-device
+	// rows kept for /debug/ingest.
 	CacheSize int
 	CacheTTL  time.Duration
 	// FillRate is the service-wide admission token bucket's refill
@@ -67,6 +71,7 @@ type Server struct {
 	shards []*pipeline.Pipeline
 	cache  *calCache
 	bucket *tokenBucket
+	frames framePool
 
 	sessions   *telemetry.Counter // ingest.sessions
 	framesIn   *telemetry.Counter // ingest.frames_in
@@ -79,15 +84,22 @@ type Server struct {
 	wg          sync.WaitGroup
 	closed      atomic.Bool
 
-	mu      sync.Mutex
-	conns   map[net.Conn]struct{}
-	tenants map[string]*tenant
+	mu    sync.Mutex
+	conns map[net.Conn]struct{}
+	// tenants holds at most cache.cap rows, the most recently active
+	// at the front of tenantLRU.
+	tenants   map[string]*tenant
+	tenantLRU list.List
 }
 
 // tenant is one device id's service-side accounting. Its registry is
 // a child of the server's, so tenant counters roll up into the
 // aggregate ingest.* numbers while staying separable on /debug/ingest.
+// Rolling up happens at increment time, so evicting a row loses only
+// the per-device breakdown, never a count from the totals.
 type tenant struct {
+	id         string
+	elem       *list.Element // in Server.tenantLRU; nil once evicted (guarded by Server.mu)
 	tel        *telemetry.Registry
 	sessions   *telemetry.Counter
 	framesIn   *telemetry.Counter
@@ -253,15 +265,25 @@ func (s *Server) Close(ctx context.Context) error {
 	return err
 }
 
-// tenantFor returns (creating if needed) the device's tenant record.
+// tenantFor returns (creating if needed) the device's tenant record,
+// marking it active. A new row past the bound evicts the least
+// recently active one; a live session of an evicted device keeps
+// counting into its detached row, so the ingest.* totals stay exact.
 func (s *Server) tenantFor(deviceID string) *tenant {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if t, ok := s.tenants[deviceID]; ok {
+		s.touchLocked(t)
 		return t
+	}
+	if len(s.tenants) >= s.cache.cap {
+		oldest := s.tenantLRU.Remove(s.tenantLRU.Back()).(*tenant)
+		oldest.elem = nil
+		delete(s.tenants, oldest.id)
 	}
 	child := s.tel.NewChild()
 	t := &tenant{
+		id:        deviceID,
 		tel:       child,
 		sessions:  child.Counter("ingest.tenant.sessions"),
 		framesIn:  child.Counter("ingest.tenant.frames_in"),
@@ -271,9 +293,46 @@ func (s *Server) tenantFor(deviceID string) *tenant {
 		calHits:   child.Counter("ingest.tenant.cal_hits"),
 		latencyUs: child.Histogram("ingest.tenant.latency_us", latencyUsBounds()),
 	}
+	t.elem = s.tenantLRU.PushFront(t)
 	s.tenants[deviceID] = t
+	s.touchLocked(t)
 	return t
 }
+
+// touch marks a tenant active now.
+func (s *Server) touch(t *tenant) {
+	s.mu.Lock()
+	s.touchLocked(t)
+	s.mu.Unlock()
+}
+
+func (s *Server) touchLocked(t *tenant) {
+	t.lastActive.Store(s.tel.Now())
+	if t.elem != nil {
+		s.tenantLRU.MoveToFront(t.elem)
+	}
+}
+
+// framePool recycles FRAME decode targets across every connection, so
+// the steady-state frame path reuses pixel storage instead of
+// allocating a frame's worth of float64s per message.
+type framePool struct{ p sync.Pool }
+
+// decode parses a FRAME body into a pooled frame. The caller owns the
+// frame until it hands it back with put.
+func (fp *framePool) decode(body []byte) (seq uint64, f *camera.Frame, err error) {
+	f, _ = fp.p.Get().(*camera.Frame)
+	if f == nil {
+		f = new(camera.Frame)
+	}
+	if _, seq, err = decodeFrameInto(body, f); err != nil {
+		fp.p.Put(f)
+		return 0, nil, err
+	}
+	return seq, f, nil
+}
+
+func (fp *framePool) put(f *camera.Frame) { fp.p.Put(f) }
 
 // latencyUsBounds is telemetry's default 1-2-5 latency series scaled
 // to microseconds. The defaults are denominated in seconds; observing
@@ -296,16 +355,27 @@ type session struct {
 	rx     *modem.Receiver
 	shard  int
 
-	// admittedSeqs maps pipeline decode sequence (contiguous over
-	// admitted frames) back to the device's wire sequence, which skips
-	// shed frames. Appended by the read loop, indexed by the decode
-	// lane's OnDecoded hook; the mutex covers that handoff (and the
-	// outc publication).
-	mu           sync.Mutex
-	admittedSeqs []uint64
-	outc         chan wireMsg
+	frames *framePool
+
+	// admitted holds the frames submitted to the pipeline and not yet
+	// decoded, oldest first. The pipeline decodes a stream's frames in
+	// submit order and fires OnDecoded once for each, so the hook's
+	// frame is always the head: the entry maps it back to the device's
+	// wire sequence (which skips shed frames), and the frame returns to
+	// the pool. Appended by the read loop, consumed by the decode
+	// lane's hook; the mutex covers that handoff (and the outc
+	// publication).
+	mu       sync.Mutex
+	admitted []admittedFrame
+	outc     chan wireMsg
 
 	stats Stats
+}
+
+// admittedFrame is one frame between its submit and its OnDecoded hook.
+type admittedFrame struct {
+	wireSeq uint64
+	frame   *camera.Frame
 }
 
 // serveConn runs one device session from HELLO to disconnect.
@@ -313,7 +383,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	br := bufio.NewReaderSize(conn, 1<<16)
 	bw := bufio.NewWriterSize(conn, 1<<16)
 
-	typ, body, err := readMessage(br)
+	typ, body, err := readMessage(br, nil)
 	if err != nil || typ != msgHello {
 		return
 	}
@@ -412,7 +482,7 @@ func (s *Server) openSession(h Hello) (*session, Welcome, error) {
 
 	id := s.nextSession.Add(1)
 	shard := s.ring.shard(h.DeviceID)
-	sess := &session{id: id, hello: h, ten: ten, rx: rx, shard: shard}
+	sess := &session{id: id, hello: h, ten: ten, rx: rx, shard: shard, frames: &s.frames}
 	stream, err := s.shards[shard].AddStreamHooked(
 		fmt.Sprintf("%s/s%d", h.DeviceID, id), rx,
 		pipeline.StreamHooks{OnDecoded: sess.onDecoded},
@@ -424,24 +494,26 @@ func (s *Server) openSession(h Hello) (*session, Welcome, error) {
 	s.sessions.Inc()
 	ten.sessions.Inc()
 	ten.lastShard.Store(int64(shard))
-	ten.lastActive.Store(s.tel.Now())
 	return sess, Welcome{SessionID: id, Shard: shard, CalSnapshot: calSnap}, nil
 }
 
 // onDecoded runs on the session stream's decode goroutine after each
 // admitted frame fully decodes; it is wired into the writer channel
-// by runSession.
-func (sess *session) onDecoded(seq uint64, latencyNs int64) {
+// by runSession. Analyze and the sequential tail are both done with
+// the frame by now, so it goes back to the pool.
+func (sess *session) onDecoded(_ uint64, latencyNs int64) {
 	sess.mu.Lock()
-	wireSeq := sess.admittedSeqs[seq]
+	head := sess.admitted[0]
+	sess.admitted = slices.Delete(sess.admitted, 0, 1)
 	outc := sess.outc
 	sess.mu.Unlock()
+	sess.frames.put(head.frame)
 	us := latencyNs / 1e3
 	if us < 0 {
 		us = 0
 	}
 	sess.ten.latencyUs.Observe(float64(us))
-	outc <- wireMsg{typ: msgAck, body: Ack{Seq: wireSeq, LatencyUs: uint32(us)}.encode()}
+	outc <- wireMsg{typ: msgAck, body: Ack{Seq: head.wireSeq, LatencyUs: uint32(us)}.encode()}
 }
 
 // runSession is the read loop: admit or shed frames until BYE or a
@@ -473,17 +545,24 @@ func (s *Server) runSession(br *bufio.Reader, outc chan wireMsg, sess *session, 
 		}
 	}()
 
-	var readErr error
+	// Every message body is read into one buffer the connection
+	// reuses; a FRAME's pixels are decoded out of it before the next
+	// read.
+	var (
+		readErr error
+		buf     []byte
+	)
 loop:
 	for {
-		typ, body, err := readMessage(br)
+		typ, body, err := readMessage(br, buf)
 		if err != nil {
 			readErr = err
 			break
 		}
+		buf = body
 		switch typ {
 		case msgFrame:
-			_, seq, frame, err := decodeFrame(body)
+			seq, frame, err := s.frames.decode(body)
 			if err != nil {
 				readErr = err
 				break loop
@@ -491,23 +570,25 @@ loop:
 			s.framesIn.Inc()
 			sess.ten.framesIn.Inc()
 			sess.stats.FramesIn++
-			sess.ten.lastActive.Store(s.tel.Now())
+			s.touch(sess.ten)
 			if !s.bucket.take() {
+				s.frames.put(frame)
 				s.shedTokens.Inc()
 				sess.ten.shed.Inc()
 				sess.stats.ShedTokens++
 				outc <- wireMsg{typ: msgShed, body: Shed{Seq: seq, Reason: ShedTokens}.encode()}
 				continue
 			}
-			// Record the mapping before TrySubmit: the decode hook may
+			// Record the entry before TrySubmit: the decode hook may
 			// fire for this frame the instant the submit lands.
 			sess.mu.Lock()
-			sess.admittedSeqs = append(sess.admittedSeqs, seq)
+			sess.admitted = append(sess.admitted, admittedFrame{wireSeq: seq, frame: frame})
 			sess.mu.Unlock()
 			if err := sess.stream.TrySubmit(frame); err != nil {
 				sess.mu.Lock()
-				sess.admittedSeqs = sess.admittedSeqs[:len(sess.admittedSeqs)-1]
+				sess.admitted = sess.admitted[:len(sess.admitted)-1]
 				sess.mu.Unlock()
+				s.frames.put(frame)
 				if errors.Is(err, pipeline.ErrQueueFull) {
 					s.shedQueue.Inc()
 					sess.ten.shed.Inc()

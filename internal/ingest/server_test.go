@@ -7,6 +7,7 @@ import (
 	"hash/fnv"
 	"net/http/httptest"
 	"runtime"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -443,5 +444,79 @@ func TestIngestSoak(t *testing.T) {
 				runtime.NumGoroutine(), baseline)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestTenantRowsBounded: per-device rows stay within Config.CacheSize
+// however many distinct devices connect, the row evicted is always
+// the least recently active one, the heap stays flat over a million
+// distinct ids, and the ingest.* totals still count every device.
+func TestTenantRowsBounded(t *testing.T) {
+	const bound = 256
+	tel := telemetry.NewRegistry()
+	srv, err := New(Config{CacheSize: bound, Telemetry: tel})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close(context.Background())
+
+	rows := func() int {
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
+		if len(srv.tenants) != srv.tenantLRU.Len() {
+			t.Fatalf("%d tenant rows but %d in the LRU", len(srv.tenants), srv.tenantLRU.Len())
+		}
+		return len(srv.tenants)
+	}
+	resident := func(id string) bool {
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
+		_, ok := srv.tenants[id]
+		return ok
+	}
+
+	// Fill to the bound, then touch the oldest row: the next new
+	// device evicts the second oldest instead.
+	for i := 0; i < bound; i++ {
+		srv.tenantFor(fmt.Sprintf("lru-%d", i))
+	}
+	srv.touch(srv.tenantFor("lru-0"))
+	srv.tenantFor("lru-new")
+	if !resident("lru-0") || resident("lru-1") || !resident("lru-new") {
+		t.Fatalf("eviction did not take the least recently active row: lru-0 %v lru-1 %v lru-new %v",
+			resident("lru-0"), resident("lru-1"), resident("lru-new"))
+	}
+
+	const (
+		ids        = 1_000_000
+		checkpoint = 100_000
+	)
+	var heapAt, heapEnd uint64
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	for i := 0; i < ids; i++ {
+		srv.tenantFor("churn-" + strconv.Itoa(i)).framesIn.Inc()
+		if i == checkpoint {
+			heapAt = heap()
+		}
+		if i%(ids/10) == 0 {
+			if n := rows(); n > bound {
+				t.Fatalf("after %d devices: %d tenant rows, bound %d", i+1, n, bound)
+			}
+		}
+	}
+	heapEnd = heap()
+	if n := rows(); n != bound {
+		t.Errorf("%d tenant rows after churn, want the bound %d", n, bound)
+	}
+	if heapEnd > heapAt+4<<20 {
+		t.Errorf("heap grew from %d to %d bytes between %d and %d distinct devices", heapAt, heapEnd, checkpoint, ids)
+	}
+	if got := tel.Snapshot().Counters["ingest.tenant.frames_in"]; got != ids {
+		t.Errorf("ingest.tenant.frames_in = %d after evictions, want %d", got, ids)
 	}
 }

@@ -21,10 +21,11 @@
 // Frames travel losslessly at the sensor's quantization width: the
 // camera stores pixel component v = k/(2^QuantBits-1) for an integer
 // level k, so the codec sends k (1 byte per component when QuantBits
-// ≤ 8, 2 bytes otherwise) and the decoder's identical division
-// reproduces the exact float64 the simulated sensor produced. Decoded
-// output is therefore byte-identical to decoding the original frames
-// in-process — the property the loadgen digest check enforces.
+// ≤ 8, 2 bytes otherwise) and the decoder looks k up in a table built
+// with the sensor's own division, reproducing the exact float64 the
+// simulated sensor produced. Decoded output is therefore
+// byte-identical to decoding the original frames in-process — the
+// property the loadgen digest check enforces.
 package ingest
 
 import (
@@ -32,6 +33,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
+	"sync"
 
 	"colorbars/internal/camera"
 	"colorbars/internal/colorspace"
@@ -88,10 +91,18 @@ func writeMessage(w io.Writer, typ byte, body []byte) error {
 }
 
 // readMessage reads one framed message, enforcing the version and the
-// size bound before allocating the body.
-func readMessage(r io.Reader) (typ byte, body []byte, err error) {
-	var hdr [6]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// size bound before allocating the body. The header and body reuse
+// buf's storage when it is large enough (allocating only to grow it),
+// so a caller that passes each returned body back in reads a whole
+// connection through one buffer; a body is valid only until the next
+// call that reuses it.
+func readMessage(r io.Reader, buf []byte) (typ byte, body []byte, err error) {
+	const hdrLen = 6
+	if cap(buf) < hdrLen {
+		buf = make([]byte, hdrLen)
+	}
+	hdr := buf[:hdrLen]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return 0, nil, err
 	}
 	n := int(binary.BigEndian.Uint32(hdr[:4]))
@@ -102,11 +113,12 @@ func readMessage(r io.Reader) (typ byte, body []byte, err error) {
 		return 0, nil, fmt.Errorf("ingest: protocol version %d, want %d", hdr[4], wireVersion)
 	}
 	typ = hdr[5]
-	if n > 2 {
-		body = make([]byte, n-2)
-		if _, err := io.ReadFull(r, body); err != nil {
-			return 0, nil, err
-		}
+	if cap(buf) < n-2 {
+		buf = make([]byte, n-2)
+	}
+	body = buf[:n-2]
+	if _, err := io.ReadFull(r, body); err != nil {
+		return 0, nil, err
 	}
 	return typ, body, nil
 }
@@ -152,6 +164,9 @@ func decodeHello(b []byte) (Hello, error) {
 		return Hello{}, fmt.Errorf("ingest: HELLO length %d, want %d", len(b), want)
 	}
 	h := Hello{DeviceID: string(b[1 : 1+idLen]), Order: int(b[1+idLen])}
+	if h.Order < 1 {
+		return Hello{}, fmt.Errorf("ingest: HELLO order %d out of range", h.Order)
+	}
 	off := 2 + idLen
 	for _, dst := range []*float64{&h.SymbolRate, &h.WhiteFraction, &h.DataFraction, &h.FrameRate, &h.LossRatio} {
 		*dst = math.Float64frombits(binary.BigEndian.Uint64(b[off:]))
@@ -258,6 +273,9 @@ func decodeBlock(b []byte) (Block, error) {
 	if len(b) < 1 {
 		return Block{}, fmt.Errorf("ingest: empty BLOCK")
 	}
+	if b[0] > 1 {
+		return Block{}, fmt.Errorf("ingest: BLOCK flag %d, want 0 or 1", b[0])
+	}
 	bl := Block{Recovered: b[0] == 1}
 	if len(b) > 1 {
 		bl.Data = append([]byte(nil), b[1:]...)
@@ -292,6 +310,9 @@ func decodeStats(b []byte) (Stats, error) {
 	if len(b) != 6*8+1 {
 		return Stats{}, fmt.Errorf("ingest: STATS length %d, want %d", len(b), 6*8+1)
 	}
+	if b[48] > 1 {
+		return Stats{}, fmt.Errorf("ingest: STATS flag %d, want 0 or 1", b[48])
+	}
 	var s Stats
 	for i, dst := range []*uint64{&s.FramesIn, &s.Admitted, &s.ShedTokens, &s.ShedQueue, &s.Blocks, &s.BlocksOK} {
 		*dst = binary.BigEndian.Uint64(b[8*i:])
@@ -305,6 +326,47 @@ func decodeStats(b []byte) (Stats, error) {
 // start f64 | exposure f64 | iso f64 | rowTime f64 | quantBits u8.
 const frameHeaderSize = 4 + 4 + 4*8 + 1
 
+// levelTables holds one table per quantization width q in [1,16],
+// each built on first use.
+var levelTables [17]struct {
+	once sync.Once
+	t    []float64
+}
+
+// levels returns the width-q level table: levels(q)[k] is
+// k/(2^q−1) for every level k. Each entry comes from the same float64
+// division the camera's ADC model performs (math.Round yields the
+// integer k as a float64, then divides by the same maxLevel), and
+// IEEE division is correctly rounded, so a lookup returns bit for bit
+// the value the sensor stored. A table of at most 8 bits keeps 256
+// entries of capacity, so decode can index it by byte unchecked.
+func levels(q int) []float64 {
+	lt := &levelTables[q]
+	lt.once.Do(func() {
+		maxLevel := float64(uint32(1)<<q - 1)
+		lt.t = make([]float64, 1<<q, max(1<<q, 256))
+		for k := range lt.t {
+			lt.t[k] = float64(k) / maxLevel
+		}
+	})
+	return lt.t
+}
+
+// gridLevel returns the level k with t[k] == v, or -1 when v is off
+// the grid t spans (maxLevel is len(t)-1). For a grid value v·maxLevel
+// lands on (or within rounding of) k, so int(v·maxLevel+0.5) names its
+// level; the table compare then accepts exactly the values the sensor
+// can produce, the same set the rule v == math.Round(v·maxLevel)/maxLevel
+// accepts (−0 included). NaN, ±Inf and out-of-range values convert to
+// an index outside the table or fail the compare.
+func gridLevel(t []float64, maxLevel, v float64) int {
+	k := int(v*maxLevel + 0.5)
+	if uint(k) >= uint(len(t)) || t[k] != v {
+		return -1
+	}
+	return k
+}
+
 // encodeFrame appends the lossless wire form of f at the device's
 // quantization width. It errors when a pixel component is off the
 // quantization grid (a frame that never went through the simulated
@@ -317,12 +379,8 @@ func encodeFrame(dst []byte, sessionID, seq uint64, f *camera.Frame, quantBits i
 	if f.Rows <= 0 || f.Cols <= 0 || len(f.Pix) != f.Rows*f.Cols {
 		return nil, fmt.Errorf("ingest: frame geometry %dx%d with %d pixels", f.Rows, f.Cols, len(f.Pix))
 	}
-	maxLevel := float64(uint32(1)<<quantBits - 1)
-	wide := quantBits > 8
-	per := 3
-	if wide {
-		per = 6
-	}
+	t := levels(quantBits)
+	maxLevel := float64(len(t) - 1)
 	dst = binary.BigEndian.AppendUint64(dst, sessionID)
 	dst = binary.BigEndian.AppendUint64(dst, seq)
 	dst = binary.BigEndian.AppendUint32(dst, uint32(f.Rows))
@@ -331,84 +389,128 @@ func encodeFrame(dst []byte, sessionID, seq uint64, f *camera.Frame, quantBits i
 		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(v))
 	}
 	dst = append(dst, byte(quantBits))
-	need := len(f.Pix) * per
-	dst = append(dst, make([]byte, need)...)
-	out := dst[len(dst)-need:]
-	i := 0
-	for _, p := range f.Pix {
-		for _, v := range [3]float64{p.R, p.G, p.B} {
-			k := math.Round(v * maxLevel)
-			if k < 0 || k > maxLevel || v != k/maxLevel {
-				return nil, fmt.Errorf("ingest: pixel component %v off the %d-bit quantization grid", v, quantBits)
+	per := pixelBytes(quantBits)
+	start := len(dst)
+	dst = slices.Grow(dst, len(f.Pix)*per)[:start+len(f.Pix)*per]
+	out := dst[start:]
+	// One loop per wire width keeps the per-pixel path branch-free.
+	if per == 3 {
+		for i, p := range f.Pix {
+			r, g, b := gridLevel(t, maxLevel, p.R), gridLevel(t, maxLevel, p.G), gridLevel(t, maxLevel, p.B)
+			if r|g|b < 0 {
+				return nil, offGrid(i, p, quantBits)
 			}
-			ki := uint16(k)
-			if wide {
-				out[i] = byte(ki >> 8)
-				out[i+1] = byte(ki)
-				i += 2
-			} else {
-				out[i] = byte(ki)
-				i++
-			}
+			o := out[3*i : 3*i+3 : 3*i+3]
+			o[0], o[1], o[2] = byte(r), byte(g), byte(b)
 		}
+		return dst, nil
+	}
+	for i, p := range f.Pix {
+		r, g, b := gridLevel(t, maxLevel, p.R), gridLevel(t, maxLevel, p.G), gridLevel(t, maxLevel, p.B)
+		if r|g|b < 0 {
+			return nil, offGrid(i, p, quantBits)
+		}
+		o := out[6*i : 6*i+6 : 6*i+6]
+		o[0], o[1] = byte(r>>8), byte(r)
+		o[2], o[3] = byte(g>>8), byte(g)
+		o[4], o[5] = byte(b>>8), byte(b)
 	}
 	return dst, nil
 }
 
-// decodeFrame parses a FRAME body, reconstructing bit-identical
-// float64 pixels by repeating the sensor's own k/maxLevel division.
+func offGrid(i int, p colorspace.RGB, quantBits int) error {
+	return fmt.Errorf("ingest: pixel %d %v off the %d-bit quantization grid", i, p, quantBits)
+}
+
+// pixelBytes is the wire size of one pixel at a quantization width:
+// three 1-byte levels up to 8 bits, three 2-byte levels above.
+func pixelBytes(quantBits int) int {
+	if quantBits > 8 {
+		return 6
+	}
+	return 3
+}
+
+// decodeFrame parses a FRAME body into a freshly allocated frame (see
+// decodeFrameInto).
 func decodeFrame(b []byte) (sessionID, seq uint64, f *camera.Frame, err error) {
+	f = new(camera.Frame)
+	if sessionID, seq, err = decodeFrameInto(b, f); err != nil {
+		return 0, 0, nil, err
+	}
+	return sessionID, seq, f, nil
+}
+
+// decodeFrameInto parses a FRAME body into f, reconstructing
+// bit-identical float64 pixels by looking each level up in the
+// sensor's level table. Every field of f is overwritten and f.Pix is
+// resliced to Rows·Cols, reusing its storage when the capacity
+// suffices, so a frame recycled from a larger or different capture
+// carries nothing stale. On error f's contents are unspecified.
+func decodeFrameInto(b []byte, f *camera.Frame) (sessionID, seq uint64, err error) {
 	if len(b) < 16+frameHeaderSize {
-		return 0, 0, nil, fmt.Errorf("ingest: FRAME truncated (%d bytes)", len(b))
+		return 0, 0, fmt.Errorf("ingest: FRAME truncated (%d bytes)", len(b))
 	}
 	sessionID = binary.BigEndian.Uint64(b)
 	seq = binary.BigEndian.Uint64(b[8:])
 	b = b[16:]
-	f = &camera.Frame{
-		Rows:     int(binary.BigEndian.Uint32(b)),
-		Cols:     int(binary.BigEndian.Uint32(b[4:])),
+	rows, cols := binary.BigEndian.Uint32(b), binary.BigEndian.Uint32(b[4:])
+	quantBits := int(b[40])
+	if quantBits < 1 || quantBits > 16 {
+		return 0, 0, fmt.Errorf("ingest: quantBits %d out of [1,16]", quantBits)
+	}
+	// The product of two u32 fields cannot overflow a u64; as an int
+	// it can wrap negative and slip past a signed bound.
+	const maxPixels = maxMessageSize / 3
+	if rows == 0 || cols == 0 || uint64(rows)*uint64(cols) > maxPixels {
+		return 0, 0, fmt.Errorf("ingest: frame geometry %dx%d out of range", rows, cols)
+	}
+	n := int(rows) * int(cols)
+	per := pixelBytes(quantBits)
+	px := b[frameHeaderSize:]
+	if len(px) != n*per {
+		return 0, 0, fmt.Errorf("ingest: FRAME pixel payload %d bytes, want %d", len(px), n*per)
+	}
+	pix := f.Pix
+	if cap(pix) < n {
+		pix = make([]colorspace.RGB, n)
+	}
+	pix = pix[:n]
+	*f = camera.Frame{
+		Rows:     int(rows),
+		Cols:     int(cols),
+		Pix:      pix,
 		Start:    math.Float64frombits(binary.BigEndian.Uint64(b[8:])),
 		Exposure: math.Float64frombits(binary.BigEndian.Uint64(b[16:])),
 		ISO:      math.Float64frombits(binary.BigEndian.Uint64(b[24:])),
 		RowTime:  math.Float64frombits(binary.BigEndian.Uint64(b[32:])),
 	}
-	quantBits := int(b[40])
-	b = b[frameHeaderSize:]
-	if quantBits < 1 || quantBits > 16 {
-		return 0, 0, nil, fmt.Errorf("ingest: quantBits %d out of [1,16]", quantBits)
-	}
-	const maxPixels = maxMessageSize / 3
-	if f.Rows <= 0 || f.Cols <= 0 || f.Rows*f.Cols > maxPixels {
-		return 0, 0, nil, fmt.Errorf("ingest: frame geometry %dx%d out of range", f.Rows, f.Cols)
-	}
-	n := f.Rows * f.Cols
-	wide := quantBits > 8
-	per := 3
-	if wide {
-		per = 6
-	}
-	if len(b) != n*per {
-		return 0, 0, nil, fmt.Errorf("ingest: FRAME pixel payload %d bytes, want %d", len(b), n*per)
-	}
-	maxLevel := float64(uint32(1)<<quantBits - 1)
-	f.Pix = make([]colorspace.RGB, n)
-	for i := range f.Pix {
-		var c [3]float64
-		for j := 0; j < 3; j++ {
-			var k uint16
-			if wide {
-				k = uint16(b[0])<<8 | uint16(b[1])
-				b = b[2:]
-			} else {
-				k = uint16(b[0])
-				b = b[1:]
+	t := levels(quantBits)
+	// Levels are below len(t) = 2^quantBits exactly when their OR is.
+	// One loop per wire width keeps the per-pixel path branch-free.
+	if per == 3 {
+		// The limit check keeps levels out of the zero padding.
+		t8 := (*[256]float64)(t[:256])
+		for i := range pix {
+			c := px[3*i : 3*i+3 : 3*i+3]
+			if int(c[0]|c[1]|c[2]) >= len(t) {
+				return 0, 0, overRange(int(max(c[0], c[1], c[2])), quantBits)
 			}
-			if float64(k) > maxLevel {
-				return 0, 0, nil, fmt.Errorf("ingest: pixel level %d exceeds %d-bit range", k, quantBits)
-			}
-			c[j] = float64(k) / maxLevel
+			pix[i] = colorspace.RGB{R: t8[c[0]], G: t8[c[1]], B: t8[c[2]]}
 		}
-		f.Pix[i] = colorspace.RGB{R: c[0], G: c[1], B: c[2]}
+		return sessionID, seq, nil
 	}
-	return sessionID, seq, f, nil
+	for i := range pix {
+		c := px[6*i : 6*i+6 : 6*i+6]
+		r, g, bl := int(c[0])<<8|int(c[1]), int(c[2])<<8|int(c[3]), int(c[4])<<8|int(c[5])
+		if r|g|bl >= len(t) {
+			return 0, 0, overRange(max(r, g, bl), quantBits)
+		}
+		pix[i] = colorspace.RGB{R: t[r], G: t[g], B: t[bl]}
+	}
+	return sessionID, seq, nil
+}
+
+func overRange(level, quantBits int) error {
+	return fmt.Errorf("ingest: pixel level %d exceeds %d-bit range", level, quantBits)
 }
