@@ -19,9 +19,15 @@
 //	radiance  = waveform mean over the row's exposure window
 //	sensed    = ColorMatrix · radiance            (color filter diversity, §6.1)
 //	scaled    = sensed · exposure · ISO · Sensitivity
-//	vignetted = scaled · falloff(row, col)        (non-uniform brightness, §7)
+//	blurred   = scaled convolved across rows      (lens point-spread function)
+//	vignetted = blurred · falloff(row, col)       (non-uniform brightness, §7)
 //	noisy     = vignetted + shot noise + read noise · ISO
-//	pixel     = quantize(clamp(noisy))            (saturation + ADC)
+//	toned     = clamp(noisy)^ToneGamma            (saturation + device tone curve, §6)
+//	pixel     = quantize(toned)                   (ADC)
+//
+// The tone curve and the ADC run as one threshold-table lookup that
+// reproduces the power function and rounding bit for bit (DESIGN.md
+// §16).
 //
 // Auto exposure/ISO (§6.2) is a deterministic feedback loop that
 // retargets the mean pixel level each frame, mimicking the phones'
@@ -131,6 +137,16 @@ func (p Profile) Validate() error {
 	}
 	if p.QuantBits < 1 || p.QuantBits > 16 {
 		return fmt.Errorf("camera: quant bits %d", p.QuantBits)
+	}
+	// A negative γ inverts the tone curve and sends dark pixels to
+	// +Inf (and the tone table needs an increasing curve); a negative
+	// vignetting strength divides by zero at some radius. Either, or
+	// a non-finite value, makes Capture emit NaN or ±Inf pixels.
+	if !finiteNonNegative(p.ToneGamma) {
+		return fmt.Errorf("camera: tone gamma %v", p.ToneGamma)
+	}
+	if !finiteNonNegative(p.Vignetting) {
+		return fmt.Errorf("camera: vignetting %v", p.Vignetting)
 	}
 	if p.MinExposure <= 0 || p.MaxExposure < p.MinExposure {
 		return fmt.Errorf("camera: exposure range [%v, %v]", p.MinExposure, p.MaxExposure)
@@ -268,8 +284,9 @@ func Profiles() map[string]Profile {
 	}
 }
 
-// Frame is one captured image. Pixels are stored row-major in linear
-// sensor RGB (post color matrix, pre gamma), normalized to [0, 1].
+// Frame is one captured image. Pixels are stored row-major in sensor
+// RGB after the color matrix, the device tone curve (ToneGamma) and
+// the ADC, normalized to [0, 1].
 type Frame struct {
 	Rows, Cols int
 	Pix        []colorspace.RGB
@@ -320,6 +337,13 @@ type Camera struct {
 	iso      float64
 	manual   bool
 
+	// Readout invariants, fixed by the profile: the squared
+	// normalized column offset of each column for vignetting, and the
+	// tone-curve-and-ADC table (nil when the tone curve is the
+	// identity).
+	colDist2 []float64
+	tone     *toneTable
+
 	// Telemetry (optional, attached with Instrument): nil fields are
 	// inert, so an uninstrumented camera pays only nil checks.
 	tel         *telemetry.Registry
@@ -335,12 +359,21 @@ func New(p Profile, seed int64) *Camera {
 	if err := p.Validate(); err != nil {
 		panic(err)
 	}
-	return &Camera{
+	c := &Camera{
 		profile:  p,
 		rng:      rand.New(rand.NewSource(seed)),
 		exposure: p.InitExposure,
 		iso:      p.InitISO,
+		colDist2: make([]float64, p.Cols),
 	}
+	for col := range c.colDist2 {
+		d := normOffset(col, p.Cols)
+		c.colDist2[col] = d * d
+	}
+	if g := p.ToneGamma; g != 0 && g != 1 {
+		c.tone = newToneTable(g, p.QuantBits)
+	}
+	return c
 }
 
 // Profile returns the camera's device profile.
@@ -392,10 +425,6 @@ func (c *Camera) Capture(w Source, start float64) *Frame {
 	}
 	gain := c.exposure * c.iso * p.Sensitivity
 	maxLevel := float64(int(1)<<p.QuantBits - 1)
-	gamma := p.ToneGamma
-	if gamma == 0 {
-		gamma = 1
-	}
 	// First pass: per-row sensed color (exposure integral through the
 	// color matrix), then optical blur across rows. The scratch rows
 	// come from a pool: captures run per-frame on hot decode paths and
@@ -415,26 +444,43 @@ func (c *Camera) Capture(w Source, start float64) *Frame {
 		blurRowsInto(*blurred, rowSensed, p.OpticalBlurRows)
 		rowSensed = *blurred
 	}
+	// Second pass: the per-pixel readout. The vignetting offsets and
+	// the noise σ terms are per row, per column or per frame; only
+	// the arithmetic that combines them runs per pixel, in the same
+	// order as evaluating the whole expression per pixel, so the
+	// result is bit-identical to it. One NormFloat64 per channel is
+	// drawn in R, G, B order, which fixes the noise stream per seed.
+	noisy := p.ShotNoise > 0 || p.ReadNoise > 0
+	sigmaRead := p.ReadNoise * (c.iso / 100)
 	for r := 0; r < p.Rows; r++ {
 		sensed := rowSensed[r]
-		for col := 0; col < p.Cols; col++ {
-			v := sensed.Scale(c.falloff(r, col))
-			if p.ShotNoise > 0 || p.ReadNoise > 0 {
-				v = c.addNoise(v)
+		dr := normOffset(r, p.Rows)
+		rowDist2 := dr * dr
+		px := f.Pix[r*p.Cols : (r+1)*p.Cols]
+		for col := range px {
+			v := sensed
+			if p.Vignetting != 0 {
+				// Falloff 1/(1+v·r²)² (a standard cos⁴ approximation),
+				// r² normalized so the corner is ~1.
+				d := 1 + p.Vignetting*((rowDist2+c.colDist2[col])/2)
+				v = v.Scale(1 / (d * d))
+			}
+			if noisy {
+				v.R = c.noise(v.R, sigmaRead)
+				v.G = c.noise(v.G, sigmaRead)
+				v.B = c.noise(v.B, sigmaRead)
 			}
 			v = v.Clamp()
-			if gamma != 1 {
-				v = colorspace.RGB{
-					R: math.Pow(v.R, gamma),
-					G: math.Pow(v.G, gamma),
-					B: math.Pow(v.B, gamma),
-				}
+			if c.tone != nil {
+				v.R = c.tone.quantize(v.R)
+				v.G = c.tone.quantize(v.G)
+				v.B = c.tone.quantize(v.B)
+			} else {
+				v.R = math.Round(v.R*maxLevel) / maxLevel
+				v.G = math.Round(v.G*maxLevel) / maxLevel
+				v.B = math.Round(v.B*maxLevel) / maxLevel
 			}
-			// ADC quantization.
-			v.R = math.Round(v.R*maxLevel) / maxLevel
-			v.G = math.Round(v.G*maxLevel) / maxLevel
-			v.B = math.Round(v.B*maxLevel) / maxLevel
-			f.Pix[r*p.Cols+col] = v
+			px[col] = v
 		}
 	}
 	if !c.manual {
@@ -490,37 +536,28 @@ func (c *Camera) autoExpose(f *Frame) {
 	c.exposure, c.iso = exp, iso
 }
 
-// falloff returns the vignetting factor at (row, col): 1 at the frame
-// center, decreasing toward edges as 1/(1+v·r²)² (a standard cos⁴
-// approximation).
-func (c *Camera) falloff(row, col int) float64 {
-	p := c.profile
-	if p.Vignetting == 0 {
-		return 1
+// normOffset maps index i of n to [−1, 1] across the frame, the
+// vignetting radius along one axis: 0 at the center, and 0 for a
+// one-sample axis.
+func normOffset(i, n int) float64 {
+	if n <= 1 {
+		return 0
 	}
-	dr := (float64(row)/float64(p.Rows-1) - 0.5) * 2
-	dc := 0.0
-	if p.Cols > 1 {
-		dc = (float64(col)/float64(p.Cols-1) - 0.5) * 2
-	}
-	r2 := (dr*dr + dc*dc) / 2 // normalize corner distance to ~1
-	d := 1 + p.Vignetting*r2
-	return 1 / (d * d)
+	return (float64(i)/float64(n-1) - 0.5) * 2
 }
 
-func (c *Camera) addNoise(v colorspace.RGB) colorspace.RGB {
-	p := c.profile
-	isoGain := c.iso / 100
-	sigmaRead := p.ReadNoise * isoGain
-	noise := func(x float64) float64 {
-		sigma := sigmaRead
-		if x > 0 {
-			sigma += p.ShotNoise * math.Sqrt(x)
-		}
-		return x + c.rng.NormFloat64()*sigma
+// noise adds one component's sensor noise: read noise σ (already
+// scaled by ISO/100) plus shot noise ShotNoise·√x for a positive
+// signal x, drawn from the camera's stream.
+func (c *Camera) noise(x, sigmaRead float64) float64 {
+	sigma := sigmaRead
+	if x > 0 {
+		sigma += c.profile.ShotNoise * math.Sqrt(x)
 	}
-	return colorspace.RGB{R: noise(v.R), G: noise(v.G), B: noise(v.B)}
+	return x + c.rng.NormFloat64()*sigma
 }
+
+func finiteNonNegative(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }
 
 // rowScratch pools per-capture row buffers; distinct cameras may
 // capture concurrently (one per pipeline stream), so the pool is

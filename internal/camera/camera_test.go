@@ -437,18 +437,3 @@ func TestQuantization(t *testing.T) {
 		t.Errorf("pixel %v not on a 2-bit level", v)
 	}
 }
-
-func BenchmarkCaptureNexus5(b *testing.B) {
-	p := Nexus5()
-	cam := New(p, 1)
-	cam.SetManual(500e-6, 100)
-	drives := make([]colorspace.RGB, 4000)
-	for i := range drives {
-		drives[i] = colorspace.RGB{R: float64(i%2) / 1, G: 0.5, B: 0.2}
-	}
-	w, _ := led.NewWaveform(led.Config{SymbolRate: 2000, Power: 1}, drives)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = cam.Capture(w, 0.1)
-	}
-}
