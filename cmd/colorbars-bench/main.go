@@ -5,11 +5,9 @@
 //
 // Usage:
 //
-//	colorbars-bench [-exp all|table1|fig3b|fig3c|fig6|fig8b|grid|baseline|ablations|distance|pipeline|fault|perf|density]
+//	colorbars-bench [-exp all|table1|fig3b|fig3c|fig6|fig8b|grid|baseline|ablations|distance|pipeline|fault|density]
 //	                [-duration seconds] [-seed n] [-workers n]
 //	                [-telemetry-addr host:port] [-trace file.jsonl]
-//	                [-bench-out dir] [-bench-gate dir] [-handicap x]
-//	                [-adapt] [-ingest] [-dense]
 //
 // The pipeline experiment (not part of "all") compares serial decode
 // time against the concurrent pipeline at several worker counts on
@@ -17,21 +15,8 @@
 // the measured experiments' decode stage (0 = serial decode). The
 // fault experiment (also not part of "all") soaks the link under one
 // impairment of every fault class (internal/fault) and reports the
-// receiver's recovery behaviour. The perf experiment (also not part
-// of "all") measures the receiver's decode cost and ground-truth SER
-// at the trajectory operating points; -bench-out writes the dated
-// BENCH_<date>.json point, -bench-gate compares against the newest
-// baseline in a directory and exits non-zero on regression, and
-// -handicap multiplies the measured costs to prove the gate trips.
-// With -adapt, the perf experiment also runs the closed-loop adaptive
-// link through the soak chaos geometry and records its goodput as the
-// goodput_chaos trajectory cell (lower-is-worse in the gate). With
-// -ingest, it drives a loadgen fleet against an in-process ingest
-// service and records the p99 submit-to-decode latency at saturation
-// as the ingest_p99_us cell (higher-is-worse). With -dense, it runs
-// the dense-ladder adaptive link (64-CSK top rung, equalizer-gated)
-// through an occlusion burst and records the goodput_dense cell
-// (lower-is-worse) plus the never-gated eq_confidence context cell.
+// receiver's recovery behaviour. SER prints as — where no symbol was
+// compared, so a dead cell does not read as error-free.
 package main
 
 import (
@@ -61,28 +46,16 @@ func main() {
 }
 
 func run() error {
-	exp := flag.String("exp", "all", "experiment to run: all, table1, fig3b, fig3c, fig6, fig8b, grid, baseline, ablations, distance, pipeline, fault, perf, density")
+	exp := flag.String("exp", "all", "experiment to run: all, table1, fig3b, fig3c, fig6, fig8b, grid, baseline, ablations, distance, pipeline, fault, density")
 	duration := flag.Float64("duration", 3, "simulated seconds per measured cell")
 	seed := flag.Int64("seed", 1, "deterministic seed")
 	workers := flag.Int("workers", 0, "decode with the concurrent pipeline using this many workers (0 = serial decode)")
 	csvDir := flag.String("csv", "", "also write CSV files for the plottable experiments into this directory")
 	telemetryAddr := flag.String("telemetry-addr", "", "serve expvar (/debug/vars) and pprof (/debug/pprof/) on this address (empty = off)")
 	tracePath := flag.String("trace", "", "write a JSONL trace of every stage span and counter to this file")
-	benchOut := flag.String("bench-out", "", "with -exp perf: write the dated BENCH_<date>.json trajectory point into this directory")
-	benchGate := flag.String("bench-gate", "", "with -exp perf: gate against the newest BENCH_*.json in this directory, exiting non-zero on regression")
-	handicap := flag.Float64("handicap", 1, "with -exp perf: multiply measured costs by this factor (gate self-test)")
-	adapt := flag.Bool("adapt", false, "with -exp perf: also measure the adaptive link's goodput under chaos (the goodput_chaos trajectory cell)")
-	ingestBench := flag.Bool("ingest", false, "with -exp perf: also measure the ingest service's p99 submit-to-decode latency at saturation (the ingest_p99_us trajectory cell)")
-	denseBench := flag.Bool("dense", false, "with -exp perf: also measure the dense-ladder adaptive link's goodput under chaos (the goodput_dense and eq_confidence trajectory cells)")
 	flag.Parse()
 	csvOutDir = *csvDir
 	decodeWorkers = *workers
-	benchOutDir = *benchOut
-	benchGateDir = *benchGate
-	benchHandicap = *handicap
-	benchAdapt = *adapt
-	benchIngest = *ingestBench
-	benchDense = *denseBench
 
 	runners := map[string]func(float64, int64) error{
 		"table1":    runTable1,
@@ -96,7 +69,6 @@ func run() error {
 		"distance":  runDistance,
 		"pipeline":  runPipeline,
 		"fault":     runFault,
-		"perf":      runPerf,
 		"density":   runDensity,
 	}
 	// The pipeline scaling sweep is a performance measurement, not a
@@ -295,10 +267,11 @@ func runGrid(duration float64, seed int64) error {
 	sort.Strings(devices)
 	for _, dev := range devices {
 		fmt.Printf("  -- %s --\n", dev)
-		fmt.Printf("  %-8s %-8s %12s %14s %14s\n", "Order", "Rate", "SER", "Thrpt (bps)", "Goodput (bps)")
+		fmt.Printf("  %-8s %-8s %12s %9s %14s %14s\n", "Order", "Rate", "SER", "Symbols", "Thrpt (bps)", "Goodput (bps)")
 		for _, c := range byDevice[dev] {
-			fmt.Printf("  %-8v %6.0f %14.4f %14.0f %14.0f\n",
-				c.Order, c.SymbolRate, c.Result.SER, c.Result.ThroughputBps, c.Result.GoodputBps)
+			fmt.Printf("  %-8v %6.0f %14s %9d %14.0f %14.0f\n",
+				c.Order, c.SymbolRate, fmtSER(c.Result), c.Result.SymbolsCompared,
+				c.Result.ThroughputBps, c.Result.GoodputBps)
 		}
 	}
 	return nil
@@ -340,11 +313,26 @@ func runAblations(duration float64, seed int64) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("  %-34s %10s %14s\n", "Variant", "SER", "Goodput (bps)")
-	fmt.Printf("  %-34s %10.4f %14.0f\n", "full system", full.SER, full.GoodputBps)
-	fmt.Printf("  %-34s %10.4f %14.0f\n", "factory references (no calib.)", factory.SER, factory.GoodputBps)
-	fmt.Printf("  %-34s %10.4f %14.0f\n", "no erasure hints (errors only)", errorsOnly.SER, errorsOnly.GoodputBps)
+	fmt.Printf("  %-34s %10s %9s %14s\n", "Variant", "SER", "Symbols", "Goodput (bps)")
+	for _, v := range []struct {
+		name string
+		res  metrics.LinkResult
+	}{
+		{"full system", full},
+		{"factory references (no calib.)", factory},
+		{"no erasure hints (errors only)", errorsOnly},
+	} {
+		fmt.Printf("  %-34s %10s %9d %14.0f\n", v.name, fmtSER(v.res), v.res.SymbolsCompared, v.res.GoodputBps)
+	}
 	return nil
+}
+
+// fmtSER formats a result's SER, or — when no symbol was compared.
+func fmtSER(r metrics.LinkResult) string {
+	if r.SymbolsCompared == 0 {
+		return "—"
+	}
+	return fmt.Sprintf("%.4f", r.SER)
 }
 
 // runPipeline measures receiver-side decode scaling: the same CSK-32
@@ -358,7 +346,7 @@ func runPipeline(duration float64, seed int64) error {
 		Order: csk.CSK32, SymbolRate: 4000, Profile: camera.Nexus5(),
 		WhiteFraction: 0.2, Duration: duration, Seed: seed,
 	}
-	fmt.Printf("  %-10s %14s %14s %12s\n", "Workers", "Decode (s)", "Goodput (bps)", "SER")
+	fmt.Printf("  %-10s %14s %14s %12s %9s\n", "Workers", "Decode (s)", "Goodput (bps)", "SER", "Symbols")
 	for _, workers := range []int{0, 1, 2, 4} {
 		p := base
 		p.Workers = workers
@@ -371,7 +359,7 @@ func runPipeline(duration float64, seed int64) error {
 		if workers > 0 {
 			label = fmt.Sprintf("%d", workers)
 		}
-		fmt.Printf("  %-10s %14.3f %14.0f %12.4f\n", label, decode, res.GoodputBps, res.SER)
+		fmt.Printf("  %-10s %14.3f %14.0f %12s %9d\n", label, decode, res.GoodputBps, fmtSER(res), res.SymbolsCompared)
 	}
 	return nil
 }
@@ -444,9 +432,9 @@ func runDensity(duration float64, seed int64) error {
 			fmt.Printf("  %-9v %-6v %-6v %10s  (%v)\n", c.Order, c.Equalized, c.Chaos, "-", c.Err)
 			continue
 		}
-		fmt.Printf("  %-9v %-6v %-6v %10.4f %9d %14.0f %8.2f\n",
+		fmt.Printf("  %-9v %-6v %-6v %10s %9d %14.0f %8.2f\n",
 			c.Order, c.Equalized, c.Chaos,
-			c.Result.SER, c.Result.SymbolsCompared, c.Result.GoodputBps, c.Result.EqConfidence)
+			fmtSER(c.Result), c.Result.SymbolsCompared, c.Result.GoodputBps, c.Result.EqConfidence)
 	}
 	fmt.Println("  (256-CSK rows: the 256-color calibration body no longer fits a 30 fps frame, so the link never calibrates — the honest ceiling of this camera generation.)")
 	return nil

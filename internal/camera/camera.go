@@ -118,10 +118,36 @@ type Profile struct {
 	InitISO      float64
 }
 
-// Validate checks profile consistency.
+// Validate checks profile consistency. Every float field must be
+// finite: a NaN or ±Inf one makes Capture emit NaN or ±Inf pixels, and
+// a NaN exposure makes it index out of range.
 func (p Profile) Validate() error {
 	if p.Rows <= 0 || p.Cols <= 0 {
 		return fmt.Errorf("camera: non-positive geometry %dx%d", p.Rows, p.Cols)
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"frame rate", p.FrameRate}, {"row time", p.RowTime},
+		{"sensitivity", p.Sensitivity}, {"read noise", p.ReadNoise},
+		{"shot noise", p.ShotNoise}, {"vignetting", p.Vignetting},
+		{"frame jitter", p.FrameJitter}, {"optical blur", p.OpticalBlurRows},
+		{"tone gamma", p.ToneGamma}, {"target level", p.TargetLevel},
+		{"min exposure", p.MinExposure}, {"max exposure", p.MaxExposure},
+		{"min ISO", p.MinISO}, {"max ISO", p.MaxISO},
+		{"initial exposure", p.InitExposure}, {"initial ISO", p.InitISO},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("camera: %s %v", f.name, f.v)
+		}
+	}
+	for i, row := range p.ColorMatrix {
+		for j, v := range row {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("camera: color matrix [%d][%d] %v", i, j, v)
+			}
+		}
 	}
 	if p.FrameRate <= 0 {
 		return fmt.Errorf("camera: frame rate %v", p.FrameRate)
@@ -140,19 +166,34 @@ func (p Profile) Validate() error {
 	}
 	// A negative γ inverts the tone curve and sends dark pixels to
 	// +Inf (and the tone table needs an increasing curve); a negative
-	// vignetting strength divides by zero at some radius. Either, or
-	// a non-finite value, makes Capture emit NaN or ±Inf pixels.
-	if !finiteNonNegative(p.ToneGamma) {
+	// vignetting strength divides by zero at some radius. Either makes
+	// Capture emit NaN or ±Inf pixels.
+	if p.ToneGamma < 0 {
 		return fmt.Errorf("camera: tone gamma %v", p.ToneGamma)
 	}
-	if !finiteNonNegative(p.Vignetting) {
+	if p.Vignetting < 0 {
 		return fmt.Errorf("camera: vignetting %v", p.Vignetting)
 	}
 	if p.MinExposure <= 0 || p.MaxExposure < p.MinExposure {
 		return fmt.Errorf("camera: exposure range [%v, %v]", p.MinExposure, p.MaxExposure)
 	}
+	if p.MaxExposure >= p.FramePeriod() {
+		return fmt.Errorf("camera: max exposure %v s not below frame period %v s", p.MaxExposure, p.FramePeriod())
+	}
 	if p.MinISO <= 0 || p.MaxISO < p.MinISO {
 		return fmt.Errorf("camera: ISO range [%v, %v]", p.MinISO, p.MaxISO)
+	}
+	// Auto-exposure starts from the initial settings and scales them
+	// by the target level: an ISO of 0 or a negative target makes the
+	// next exposure NaN, which Capture indexes with.
+	if p.InitExposure < p.MinExposure || p.InitExposure > p.MaxExposure {
+		return fmt.Errorf("camera: initial exposure %v outside [%v, %v]", p.InitExposure, p.MinExposure, p.MaxExposure)
+	}
+	if p.InitISO < p.MinISO || p.InitISO > p.MaxISO {
+		return fmt.Errorf("camera: initial ISO %v outside [%v, %v]", p.InitISO, p.MinISO, p.MaxISO)
+	}
+	if p.TargetLevel < 0 {
+		return fmt.Errorf("camera: target level %v", p.TargetLevel)
 	}
 	return nil
 }
@@ -556,8 +597,6 @@ func (c *Camera) noise(x, sigmaRead float64) float64 {
 	}
 	return x + c.rng.NormFloat64()*sigma
 }
-
-func finiteNonNegative(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }
 
 // rowScratch pools per-capture row buffers; distinct cameras may
 // capture concurrently (one per pipeline stream), so the pool is

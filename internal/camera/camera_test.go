@@ -45,6 +45,11 @@ func TestProfileValidation(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("expected error for inverted exposure range")
 	}
+	bad = Nexus5()
+	bad.MaxExposure = bad.FramePeriod()
+	if err := bad.Validate(); err == nil {
+		t.Error("expected error for a max exposure of a whole frame period")
+	}
 }
 
 func TestLossRatiosMatchPaper(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -311,27 +312,64 @@ func TestCaptureConcurrentCameras(t *testing.T) {
 	}
 }
 
-// TestValidateRejectsNonFinitePixels covers the profile values that
-// make Capture emit NaN or ±Inf pixels, and the one-row frame, whose
-// vignetting radius must not divide by Rows−1 = 0.
+// TestValidateRejectsNonFinitePixels checks that every profile
+// Validate accepts captures finite pixels in [0, 1]: each float64
+// field and each color-matrix entry set to NaN, +Inf and −Inf, and
+// the finite values that broke Capture (a negative tone gamma,
+// vignetting or target level, an initial ISO of 0), must be rejected
+// or capture cleanly. The one-row frame's vignetting radius must not
+// divide by Rows−1 = 0.
 func TestValidateRejectsNonFinitePixels(t *testing.T) {
-	for _, c := range []struct {
+	type edit struct {
 		name string
-		edit func(*Profile)
-	}{
-		{"gamma negative", func(p *Profile) { p.ToneGamma = -0.5 }},
-		{"gamma NaN", func(p *Profile) { p.ToneGamma = math.NaN() }},
-		{"gamma +Inf", func(p *Profile) { p.ToneGamma = math.Inf(1) }},
-		{"gamma -Inf", func(p *Profile) { p.ToneGamma = math.Inf(-1) }},
-		{"vignetting negative", func(p *Profile) { p.Vignetting = -1 }},
-		{"vignetting NaN", func(p *Profile) { p.Vignetting = math.NaN() }},
-		{"vignetting +Inf", func(p *Profile) { p.Vignetting = math.Inf(1) }},
-	} {
-		p := Nexus5()
-		c.edit(&p)
-		if err := p.Validate(); err == nil {
-			t.Errorf("%s: accepted", c.name)
+		set  func(*Profile)
+	}
+	var cases []edit
+	floats := 0
+	pt := reflect.TypeOf(Profile{})
+	for i := 0; i < pt.NumField(); i++ {
+		field := pt.Field(i)
+		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			switch field.Type {
+			case reflect.TypeOf(0.0):
+				cases = append(cases, edit{fmt.Sprintf("%s %v", field.Name, bad), func(p *Profile) {
+					reflect.ValueOf(p).Elem().Field(i).SetFloat(bad)
+				}})
+				floats++
+			case reflect.TypeOf([3][3]float64{}):
+				for r := 0; r < 3; r++ {
+					for c := 0; c < 3; c++ {
+						cases = append(cases, edit{fmt.Sprintf("%s[%d][%d] %v", field.Name, r, c, bad), func(p *Profile) {
+							reflect.ValueOf(p).Elem().Field(i).Index(r).Index(c).SetFloat(bad)
+						}})
+						floats++
+					}
+				}
+			}
 		}
+	}
+	if want := 3 * (16 + 9); floats != want {
+		t.Fatalf("%d non-finite cases, want %d: a float field was added or removed", floats, want)
+	}
+	cases = append(cases,
+		edit{"gamma negative", func(p *Profile) { p.ToneGamma = -0.5 }},
+		edit{"vignetting negative", func(p *Profile) { p.Vignetting = -1 }},
+		edit{"target level negative", func(p *Profile) { p.TargetLevel = -0.5 }},
+		edit{"initial ISO 0", func(p *Profile) { p.InitISO = 0 }},
+		edit{"initial exposure negative", func(p *Profile) { p.InitExposure = -1e-4 }},
+	)
+	w := randomColorWaveform(t, 1, 3000, 0.2)
+	for _, c := range cases {
+		p := Nexus5()
+		c.set(&p)
+		if p.Validate() == nil {
+			if err := captureClean(p, w); err != nil {
+				t.Errorf("%s: accepted, but %v", c.name, err)
+			}
+		}
+	}
+	if err := captureClean(Nexus5(), w); err != nil {
+		t.Errorf("Nexus 5: %v", err)
 	}
 	p := Nexus5()
 	p.ToneGamma = 0 // 0 means no tone curve
@@ -341,14 +379,29 @@ func TestValidateRejectsNonFinitePixels(t *testing.T) {
 
 	oneRow := Nexus5()
 	oneRow.Rows = 1
-	w := randomColorWaveform(t, 1, 3000, 1)
-	for _, px := range New(oneRow, 1).Capture(w, 0.01).Pix {
-		for _, v := range [3]float64{px.R, px.G, px.B} {
-			if !(v >= 0 && v <= 1) {
-				t.Fatalf("one-row frame pixel component %v outside [0, 1]", v)
+	if err := captureClean(oneRow, w); err != nil {
+		t.Errorf("one-row frame: %v", err)
+	}
+}
+
+// captureClean captures a few auto-exposed frames with the profile and
+// reports a panic or any pixel component outside [0, 1].
+func captureClean(p Profile, w Source) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("panic: %v", r)
+		}
+	}()
+	for _, f := range New(p, 1).CaptureVideo(w, 0.01, 4) {
+		for _, px := range f.Pix {
+			for _, v := range [3]float64{px.R, px.G, px.B} {
+				if !(v >= 0 && v <= 1) {
+					return fmt.Errorf("pixel component %v outside [0, 1]", v)
+				}
 			}
 		}
 	}
+	return nil
 }
 
 var benchFrame *Frame

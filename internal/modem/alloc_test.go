@@ -14,7 +14,7 @@ import (
 // populated), returning the frames for steady-state measurement. The
 // receiver carries a linkstats collector and telemetry registry — the
 // production configuration — so the zero-alloc claim covers the
-// instrumented path the benchmark trajectory measures.
+// instrumented path.
 func allocLink(t testing.TB, order csk.Order, rate float64) (*linkUnderTest, []*camera.Frame) {
 	t.Helper()
 	prof := camera.Nexus5()
@@ -72,6 +72,7 @@ func TestProcessFrameZeroAlloc(t *testing.T) {
 	}{
 		{csk.CSK8, 2000},
 		{csk.CSK16, 3000},
+		{csk.CSK32, 4000},
 	} {
 		l, frames := allocLink(t, tc.order, tc.rate)
 		i := 0
@@ -121,9 +122,9 @@ func TestProcessAnalysisZeroAlloc(t *testing.T) {
 	}
 }
 
-// BenchmarkDecodeCells is the in-repo counterpart of the
-// colorbars-bench perf trajectory cells, kept next to the alloc tests
-// so -memprofile points straight at any hot-path regression.
+// BenchmarkDecodeCells times ProcessFrame at the operating points
+// TestProcessFrameZeroAlloc pins, kept next to the alloc tests so
+// -memprofile points straight at any hot-path regression.
 func BenchmarkDecodeCells(b *testing.B) {
 	for _, tc := range []struct {
 		name  string

@@ -5,15 +5,12 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
-	"runtime"
 	"testing"
-	"time"
 
 	"colorbars/internal/camera"
 	"colorbars/internal/cie"
 	"colorbars/internal/coding"
 	"colorbars/internal/csk"
-	"colorbars/internal/linkstats"
 	"colorbars/internal/telemetry"
 )
 
@@ -261,57 +258,3 @@ func BenchmarkProcessFrame(b *testing.B) {
 type discard struct{}
 
 func (discard) Write(p []byte) (int, error) { return len(p), nil }
-
-// TestBenchJSONEmission writes the ProcessFrame benchmark results as a
-// dated BENCH_<date>.json trajectory point — the same schema the
-// colorbars-bench perf experiment emits, so either source can extend
-// the committed trajectory. Gated behind COLORBARS_BENCH_JSON (the
-// target directory) so ordinary test runs don't spend benchmark time:
-//
-//	COLORBARS_BENCH_JSON=bench go test -run TestBenchJSONEmission ./internal/modem/
-func TestBenchJSONEmission(t *testing.T) {
-	dir := os.Getenv("COLORBARS_BENCH_JSON")
-	if dir == "" {
-		t.Skip("COLORBARS_BENCH_JSON not set")
-	}
-	report := &linkstats.BenchReport{
-		Schema:    linkstats.BenchSchemaVersion,
-		Date:      time.Now().UTC().Format("2006-01-02"),
-		GoVersion: runtime.Version(),
-		Entries:   map[string]linkstats.BenchEntry{},
-	}
-	kernels := []struct {
-		name string
-		sink bool
-	}{
-		{"modem/ProcessFrame/NoSink", false},
-		{"modem/ProcessFrame/JSONLSink", true},
-	}
-	for _, k := range kernels {
-		rx, frames := benchLink(t, csk.CSK8, 2000, camera.Nexus5(), 1, 1)
-		if k.sink {
-			rx.Telemetry().SetSink(telemetry.NewJSONLSink(discard{}))
-		}
-		r := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				rx.ProcessFrame(frames[i%len(frames)])
-			}
-		})
-		ns := float64(r.NsPerOp())
-		e := linkstats.BenchEntry{
-			NsPerFrame:  ns,
-			BytesPerOp:  r.AllocedBytesPerOp(),
-			AllocsPerOp: r.AllocsPerOp(),
-		}
-		if ns > 0 {
-			e.FramesPerSec = 1e9 / ns
-		}
-		report.Entries[k.name] = e
-	}
-	path, err := linkstats.WriteBenchReport(dir, report)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("trajectory point written to %s", path)
-}
