@@ -9,8 +9,9 @@ GO ?= go
 # the deterministic chaos soak, the adaptive-link chaos soak (the
 # closed-loop controller must beat every surviving fixed operating
 # point and regain the top rung on budget), a single-iteration pass
-# over the ProcessFrame and Capture benchmarks (so the
-# telemetry-overhead path and the camera readout compile and run), and
+# over the ProcessFrame, Capture and RS failure-path benchmarks (so
+# the telemetry-overhead path, the camera readout and the split
+# search's RS reject path compile and run), and
 # the one benchmark gate, bench-gate, which compares no timing and so
 # passes on any host. Each soak test runs once. Budget: 441 s wall on a
 # 2-vCPU VM; race-pipeline (144 s), the test suite (85 s) and
@@ -114,25 +115,29 @@ golden:
 
 # cover enforces a statement-coverage floor on the packages the
 # decode hot path lives in: the modem, the colorspace kernels, the
-# constellation designs, and the online equalizer the classify path
-# now runs through. The floor is deliberately below the current
-# numbers (modem 94.6%, colorspace 97.7% at introduction) — it exists
-# to catch a future fast-path branch (new kernel, new LUT, new
-# correction stage) landing without tests, not to chase a percentage.
+# constellation designs, the online equalizer the classify path
+# now runs through, and the RS decoder with the GF(2^8) tables it
+# reads. The floor is deliberately below the current numbers (modem
+# 94.6%, colorspace 97.7% at introduction; rs 98.5%, gf256 98.6% when
+# they joined) — it exists to catch a future fast-path branch (new
+# kernel, new LUT, new correction stage) landing without tests, not
+# to chase a percentage.
 cover:
-	@$(GO) test -count=1 -coverprofile=/tmp/colorbars-cover.out ./internal/modem/ ./internal/colorspace/ ./internal/equalize/ ./internal/csk/
+	@$(GO) test -count=1 -coverprofile=/tmp/colorbars-cover.out ./internal/modem/ ./internal/colorspace/ ./internal/equalize/ ./internal/csk/ ./internal/rs/ ./internal/gf256/
 	@$(GO) tool cover -func=/tmp/colorbars-cover.out | tail -1
 	@total=$$($(GO) tool cover -func=/tmp/colorbars-cover.out | tail -1 | awk '{print $$3}' | tr -d '%'); \
 	floor=90; \
 	ok=$$(awk -v t=$$total -v f=$$floor 'BEGIN{print (t>=f)?1:0}'); \
 	if [ "$$ok" != 1 ]; then \
-		echo "coverage $$total% below floor $$floor% (modem+colorspace)"; exit 1; \
+		echo "coverage $$total% below floor $$floor% (modem+colorspace+equalize+csk+rs+gf256)"; exit 1; \
 	fi
 
-# bench runs the decode (ProcessFrame) and camera (Capture)
-# benchmarks once each, so both compile and run in CI.
+# bench runs the decode (ProcessFrame), camera (Capture) and RS
+# failure-path (DecodeWrongErasures: the wrong loss-split guess the
+# receiver's split search makes on almost every attempt) benchmarks
+# once each, so all three compile and run in CI.
 bench:
-	$(GO) test -run=- -bench='^(BenchmarkProcessFrame|BenchmarkCapture)$$' -benchtime=1x ./...
+	$(GO) test -run=- -bench='^(BenchmarkProcessFrame|BenchmarkCapture|BenchmarkDecodeWrongErasures)$$' -benchtime=1x ./...
 
 # bench-gate is the one benchmark gate. Everything the seed fixes —
 # SER and its sample size, goodput, block and RS-attempt counts at
@@ -148,11 +153,11 @@ bench-gate:
 	$(GO) test -count=1 -run='^TestSeedFixed' ./internal/experiments/
 	$(GO) test -count=1 ./cmd/colorbars-benchpair/
 
-# bench-pair times the repository benchmark's clean-16csk and fleet
-# workloads on BASE and on the working tree, alternating the two for
-# 10 pairs on this host, and compares them against BENCHMARK.json's
-# bounds (see cmd/colorbars-benchpair). About 15 minutes on 2 vCPUs,
-# so it is not part of ci.
+# bench-pair times every workload BENCHMARK.json lists (clean-16csk,
+# chaos-4csk and fleet) on BASE and on the working tree, alternating
+# the two for 10 pairs on this host, and compares them against
+# BENCHMARK.json's bounds (see cmd/colorbars-benchpair). About
+# 18 minutes on 2 vCPUs, so it is not part of ci.
 bench-pair:
 	@test -n "$(BASE)" || { echo "usage: make bench-pair BASE=<git ref>"; exit 2; }
 	$(GO) run ./cmd/colorbars-benchpair -base '$(BASE)'

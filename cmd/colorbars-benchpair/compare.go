@@ -13,7 +13,10 @@ import (
 type spec struct {
 	Command    []string `json:"command"`
 	RunSeconds float64  `json:"run_seconds"`
-	EndToEnd   []struct {
+	Workloads  []struct {
+		Name string `json:"name"`
+	} `json:"workloads"`
+	EndToEnd []struct {
 		Name   string  `json:"name"`
 		Unit   string  `json:"unit"`
 		Better string  `json:"better"`

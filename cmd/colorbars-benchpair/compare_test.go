@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -161,4 +162,24 @@ func clone[T any](t *testing.T, v T) T {
 		t.Fatal(err)
 	}
 	return out
+}
+
+// TestSpecWorkloads checks that the runner reads its workloads from
+// BENCHMARK.json, so the chaos decode workload is timed with the rest.
+func TestSpecWorkloads(t *testing.T) {
+	raw, err := os.ReadFile("../../BENCHMARK.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sp spec
+	if err := json.Unmarshal(raw, &sp); err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, wl := range sp.Workloads {
+		names = append(names, wl.Name)
+	}
+	if !slices.Contains(names, "chaos-4csk") {
+		t.Errorf("workloads %q do not include chaos-4csk", names)
+	}
 }

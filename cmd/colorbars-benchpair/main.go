@@ -9,12 +9,13 @@
 //
 // With -base it extracts the base commit into a temporary directory
 // and runs 10 pairs; each pair draws and prints a fresh seed and runs
-// clean-16csk (the decode path) and fleet (the ingest path) on both
-// trees for BENCHMARK.json's run_seconds, alternating which side goes
-// first. Each run's host and result lines are appended to
-// .bench_pair/results.jsonl, then compared (see compare). -compare
-// compares a saved file alone. Both trees build with -buildvcs=false,
-// so a host line's commit= is a digest of the sources that side ran.
+// every workload BENCHMARK.json lists (the clean decode path, the
+// chaos decode path and the ingest fleet) on both trees for its
+// run_seconds, alternating which side goes first. Each run's host and
+// result lines are appended to .bench_pair/results.jsonl, then
+// compared (see compare). -compare compares a saved file alone. Both
+// trees build with -buildvcs=false, so a host line's commit= is a
+// digest of the sources that side ran.
 package main
 
 import (
@@ -35,8 +36,6 @@ const (
 	outDir = ".bench_pair"
 	pairs  = 10
 )
-
-var timedWorkloads = []string{"clean-16csk", "fleet"}
 
 func main() {
 	base := flag.String("base", "", "git ref to compare the working tree against")
@@ -85,8 +84,12 @@ func run(base, saved string) error {
 // runPairs extracts base and runs the pairs, appending one record per
 // run to path. It stops at the first failed run.
 func runPairs(sp spec, base, path string) error {
-	if len(sp.Command) == 0 || sp.RunSeconds <= 0 {
-		return errors.New("BENCHMARK.json: no command or run_seconds")
+	if len(sp.Command) == 0 || sp.RunSeconds <= 0 || len(sp.Workloads) == 0 {
+		return errors.New("BENCHMARK.json: no command, run_seconds or workloads")
+	}
+	var workloads []string
+	for _, wl := range sp.Workloads {
+		workloads = append(workloads, wl.Name)
 	}
 	rev, err := exec.Command("git", "rev-parse", "--verify", base+"^{commit}").Output()
 	if err != nil {
@@ -112,7 +115,7 @@ func runPairs(sp spec, base, path string) error {
 	defer f.Close()
 	dirs := map[string]string{"base": baseDir, "change": "."}
 	fmt.Printf("base %s (%s) against the working tree: %d pairs of %v at %gs\n",
-		base, strings.TrimSpace(string(rev))[:12], pairs, timedWorkloads, sp.RunSeconds)
+		base, strings.TrimSpace(string(rev))[:12], pairs, workloads, sp.RunSeconds)
 	for pair := 1; pair <= pairs; pair++ {
 		seed := rand.Int64N(1_000_000) + 1
 		order := sides
@@ -121,7 +124,7 @@ func runPairs(sp spec, base, path string) error {
 		}
 		fmt.Printf("pair %d seed %d\n", pair, seed)
 		for _, side := range order {
-			for _, wl := range timedWorkloads {
+			for _, wl := range workloads {
 				r := runOne(sp, dirs[side], wl, seed)
 				r.Pair, r.Side = pair, side
 				line, err := json.Marshal(r)

@@ -97,7 +97,7 @@ type Profile struct {
 	// blur mixes light between neighbouring bands regardless of
 	// exposure time, and is the inter-symbol-interference floor that
 	// makes dense constellations fail as bands narrow (paper §8,
-	// Fig 9).
+	// Fig 9). At most MaxOpticalBlurRows.
 	OpticalBlurRows float64
 	// ToneGamma applies the device's tone curve v^γ to each channel
 	// after the color matrix. Phone imaging pipelines tone-map their
@@ -117,6 +117,14 @@ type Profile struct {
 	InitExposure float64
 	InitISO      float64
 }
+
+// MaxOpticalBlurRows caps Profile.OpticalBlurRows. Capture's blur
+// kernel spans ±3σ rows, so the cap bounds it at 601 taps (4.7 KB) and
+// its cost at 601 multiply-adds per row. A σ of 100 scanlines already
+// smears a 1 kHz symbol band (127 Nexus 5 rows, 52 iPhone 5S rows)
+// across its neighbours, far past any decodable link; the built-in
+// profiles use 2.2 and 3.
+const MaxOpticalBlurRows = 100
 
 // Validate checks profile consistency. Every float field must be
 // finite: a NaN or ±Inf one makes Capture emit NaN or ±Inf pixels, and
@@ -173,6 +181,11 @@ func (p Profile) Validate() error {
 	}
 	if p.Vignetting < 0 {
 		return fmt.Errorf("camera: vignetting %v", p.Vignetting)
+	}
+	// An unbounded σ asks for an unbounded blur kernel: at 1e9 rows,
+	// 48 GB.
+	if p.OpticalBlurRows > MaxOpticalBlurRows {
+		return fmt.Errorf("camera: optical blur %v rows above %v", p.OpticalBlurRows, MaxOpticalBlurRows)
 	}
 	if p.MinExposure <= 0 || p.MaxExposure < p.MinExposure {
 		return fmt.Errorf("camera: exposure range [%v, %v]", p.MinExposure, p.MaxExposure)

@@ -50,6 +50,24 @@ func TestProfileValidation(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("expected error for a max exposure of a whole frame period")
 	}
+	// The blur kernel grows with σ: 1e9 rows would ask for 48 GB. The
+	// cap still admits itself and the one-row, σ = 3 profile the
+	// readout differential captures.
+	bad = Nexus5()
+	bad.OpticalBlurRows = 1e9
+	if err := bad.Validate(); err == nil {
+		t.Error("expected error for an optical blur of 1e9 rows")
+	}
+	ok := Nexus5()
+	ok.OpticalBlurRows = MaxOpticalBlurRows
+	if err := ok.Validate(); err != nil {
+		t.Errorf("optical blur at the cap rejected: %v", err)
+	}
+	ok = Nexus5()
+	ok.Rows = 1
+	if err := ok.Validate(); err != nil {
+		t.Errorf("one-row profile with σ %v rejected: %v", ok.OpticalBlurRows, err)
+	}
 }
 
 func TestLossRatiosMatchPaper(t *testing.T) {

@@ -4,15 +4,20 @@
 // repository's RS codec uses.
 //
 // Elements are bytes; addition is XOR; multiplication is carried out
-// through log/antilog tables built at package init.
+// through log/antilog tables built at package init. A full 64 KB
+// product table (MulRow) serves hot loops that multiply many
+// independent pairs, such as the RS decoder's syndrome and Chien
+// passes: each product is one load, with no zero test and no
+// dependency on the previous product.
 package gf256
 
 // Poly is the primitive polynomial generating the field.
 const Poly = 0x11d
 
 var (
-	expTable [512]byte // exp[i] = α^i, doubled so Mul can skip a mod
-	logTable [256]byte // log[x] = i such that α^i == x; log[0] unused
+	expTable [512]byte      // exp[i] = α^i, doubled so Mul can skip a mod
+	logTable [256]byte      // log[x] = i such that α^i == x; log[0] unused
+	mulTable [256][256]byte // mulTable[a][b] = a·b
 )
 
 func init() {
@@ -28,6 +33,11 @@ func init() {
 	for i := 255; i < 512; i++ {
 		expTable[i] = expTable[i-255]
 	}
+	for a := 1; a < 256; a++ {
+		for b := 1; b < 256; b++ {
+			mulTable[a][b] = expTable[int(logTable[a])+int(logTable[b])]
+		}
+	}
 }
 
 // Add returns a + b in GF(2^8). Subtraction is identical.
@@ -40,6 +50,10 @@ func Mul(a, b byte) byte {
 	}
 	return expTable[int(logTable[a])+int(logTable[b])]
 }
+
+// MulRow returns the row of the product table for a: MulRow(a)[b] ==
+// Mul(a, b) for every b. Callers must not modify it.
+func MulRow(a byte) *[256]byte { return &mulTable[a] }
 
 // Div returns a / b in GF(2^8). Division by zero panics, mirroring the
 // behaviour of integer division.

@@ -39,6 +39,30 @@ func TestMulIdentityAndZero(t *testing.T) {
 	}
 }
 
+// TestMulRowExhaustive checks every entry of the product table
+// against shift-and-add multiplication modulo Poly, which shares no
+// table with Mul.
+func TestMulRowExhaustive(t *testing.T) {
+	for a := 0; a < 256; a++ {
+		row := MulRow(byte(a))
+		for b := 0; b < 256; b++ {
+			var p int
+			for x, y := a, b; y != 0; y >>= 1 {
+				if y&1 != 0 {
+					p ^= x
+				}
+				x <<= 1
+				if x&0x100 != 0 {
+					x ^= Poly
+				}
+			}
+			if row[b] != byte(p) || Mul(byte(a), byte(b)) != byte(p) {
+				t.Fatalf("%d·%d: MulRow %d, Mul %d, want %d", a, b, row[b], Mul(byte(a), byte(b)), p)
+			}
+		}
+	}
+}
+
 func TestInverseExhaustive(t *testing.T) {
 	for i := 1; i < 256; i++ {
 		a := byte(i)

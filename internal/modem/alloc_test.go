@@ -61,20 +61,26 @@ func allocLink(t testing.TB, order csk.Order, rate float64) (*linkUnderTest, []*
 // TestProcessFrameZeroAlloc pins the tentpole's core claim: after
 // calibration, the full per-frame receive path — front end, classify,
 // deframe, RS decode, linkstats — runs without heap allocation when
-// the caller recycles each batch of blocks.
+// the caller recycles each batch of blocks. 4-CSK at 1.5 kHz is the
+// multi-gap case: its packets span several frames, so the receiver
+// runs the loss-split search with its memoized slot classes, and the
+// test requires more RS attempts than frames to prove it did.
 func TestProcessFrameZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under the race detector; alloc counts are meaningless")
 	}
 	for _, tc := range []struct {
-		order csk.Order
-		rate  float64
+		order     csk.Order
+		rate      float64
+		splitting bool // packets straddle several gaps
 	}{
-		{csk.CSK8, 2000},
-		{csk.CSK16, 3000},
-		{csk.CSK32, 4000},
+		{csk.CSK8, 2000, false},
+		{csk.CSK16, 3000, false},
+		{csk.CSK32, 4000, false},
+		{csk.CSK4, 1500, true},
 	} {
 		l, frames := allocLink(t, tc.order, tc.rate)
+		attempts := l.rx.c.rsAttempts.Value()
 		i := 0
 		allocs := testing.AllocsPerRun(2*len(frames), func() {
 			l.rx.Recycle(l.rx.ProcessFrame(frames[i%len(frames)]))
@@ -83,6 +89,10 @@ func TestProcessFrameZeroAlloc(t *testing.T) {
 		if allocs != 0 {
 			t.Errorf("csk%d@%v: ProcessFrame allocates %.2f/op in steady state, want 0",
 				int(tc.order), tc.rate, allocs)
+		}
+		if got := l.rx.c.rsAttempts.Value() - attempts; tc.splitting && got <= int64(i) {
+			t.Errorf("csk%d@%v: %d RS attempts over %d frames; the loss-split search did not run",
+				int(tc.order), tc.rate, got, i)
 		}
 	}
 }
@@ -134,6 +144,7 @@ func BenchmarkDecodeCells(b *testing.B) {
 		{"csk8@2kHz", csk.CSK8, 2000},
 		{"csk16@3kHz", csk.CSK16, 3000},
 		{"csk32@4kHz", csk.CSK32, 4000},
+		{"csk4@1.5kHz", csk.CSK4, 1500},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			l, frames := allocLink(b, tc.order, tc.rate)

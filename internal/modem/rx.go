@@ -357,6 +357,7 @@ type decodeScratch struct {
 	erased   []bool          // per-byte erasure flags
 	erasures []int           // erased byte positions, ascending
 	filled   []int           // raw symbols with erasures zero-filled
+	cls      []int           // per observed data-packet slot: its constellation index, or -1 until first classified
 	cw       []byte          // unpacked (and descrambled) codeword
 	reenc    []byte          // re-encoded codeword for correction count
 	calib    []colorspace.AB // permutation-corrected calibration colors
@@ -1254,6 +1255,20 @@ func (r *Receiver) decodeData(pkt packet.RxPacket, blk *Block) {
 		return
 	}
 
+	// Every split hypothesis classifies the same observed slots against
+	// the same references and equalizer (neither changes inside a
+	// packet), so each slot is classified once, on first use, and the
+	// index is reused by every later hypothesis (DESIGN.md §17).
+	cls := ds.cls
+	if cap(cls) < len(observed) {
+		cls = make([]int, len(observed))
+	}
+	cls = cls[:len(observed)]
+	for i := range cls {
+		cls[i] = -1
+	}
+	ds.cls = cls
+
 	// Try loss splits across the gaps, most even first. With zero or
 	// one gap there is exactly one split, whose erasure positions are
 	// certain — that single deterministic attempt may consume the
@@ -1296,8 +1311,9 @@ func (r *Receiver) decodeData(pkt packet.RxPacket, blk *Block) {
 		}
 	} else {
 		// Per-gap candidate losses ordered by distance from the even
-		// share (the same sequence forEachSplit enumerates: gaps have
-		// equal durations, so even splits are overwhelmingly likely).
+		// share (the sequence forEachSplit in split_test.go specifies:
+		// gaps have equal durations, so even splits are overwhelmingly
+		// likely).
 		base := missing / len(gaps)
 		order := append(ds.order[:0], base)
 		for d := 1; ; d++ {
@@ -1322,7 +1338,7 @@ func (r *Receiver) decodeData(pkt packet.RxPacket, blk *Block) {
 }
 
 // maxSplitTries bounds the multi-gap loss-split search, matching
-// forEachSplit's historical budget.
+// forEachSplit's budget.
 const maxSplitTries = 2000
 
 // searchSplits recursively enumerates multi-gap loss splits in
@@ -1432,7 +1448,11 @@ func (r *Receiver) assembleSymbols(layout []bool, observed []packet.RxSlot, gaps
 				}
 				raw = append(raw, -1)
 			} else {
-				idx := csk.NearestAB(r.eqAB(observed[oi].AB), r.refs)
+				idx := ds.cls[oi]
+				if idx < 0 {
+					idx = csk.NearestAB(r.eqAB(observed[oi].AB), r.refs)
+					ds.cls[oi] = idx
+				}
 				oi++
 				raw = append(raw, idx)
 				symbolsObserved++
@@ -1460,6 +1480,25 @@ func (r *Receiver) assembleSymbols(layout []bool, observed []packet.RxSlot, gaps
 // attempts, which must leave spare parity for verification.
 func (r *Receiver) rsDecode(raw []int, erasures []int, n int, needSlack bool) ([]byte, bool) {
 	r.c.rsAttempts.Inc()
+	eras := erasures
+	if r.cfg.NoErasureDecoding {
+		eras = nil
+	}
+	// Erasure decoding with exactly n−k erasures is an exactly
+	// determined system: it "succeeds" for ANY erasure positions,
+	// yielding a valid-syndrome but wrong codeword when the positions
+	// are wrong. Deterministic attempts (positions known from the
+	// single gap) may use the full parity; speculative attempts must
+	// leave slack: with s spare parity bytes, a wrong guess passes
+	// only with probability ~2^(-8s). The budget is tested before the
+	// codeword is built, so a hypothesis past it costs nothing more.
+	limit := r.cfg.Code.ParityBytes()
+	if needSlack {
+		limit -= 4
+	}
+	if len(eras) > limit {
+		return nil, false
+	}
 	ds := &r.ds
 	filled := ds.filled[:0]
 	for _, s := range raw {
@@ -1476,24 +1515,6 @@ func (r *Receiver) rsDecode(raw []int, erasures []int, n int, needSlack bool) ([
 	}
 	ds.cw = codeword
 	packet.ScrambleInPlace(codeword) // undo payload whitening
-	eras := erasures
-	if r.cfg.NoErasureDecoding {
-		eras = nil
-	}
-	// Erasure decoding with exactly n−k erasures is an exactly
-	// determined system: it "succeeds" for ANY erasure positions,
-	// yielding a valid-syndrome but wrong codeword when the positions
-	// are wrong. Deterministic attempts (positions known from the
-	// single gap) may use the full parity; speculative attempts must
-	// leave slack: with s spare parity bytes, a wrong guess passes
-	// only with probability ~2^(-8s).
-	limit := r.cfg.Code.ParityBytes()
-	if needSlack {
-		limit -= 4
-	}
-	if len(eras) > limit {
-		return nil, false
-	}
 	data, err := r.dec.Decode(codeword, eras)
 	if err != nil {
 		return nil, false
@@ -1566,58 +1587,4 @@ func (r *Receiver) Recycle(blocks []Block) {
 	if len(r.blockFree) < maxFreeBufs {
 		r.blockFree = append(r.blockFree, blocks[:0])
 	}
-}
-
-// forEachSplit enumerates ways to split total lost slots among parts
-// gaps, near-even splits first (gaps have equal durations, so even
-// splits are overwhelmingly likely), calling fn for each until fn
-// returns true or maxTries splits have been tried.
-func forEachSplit(total, parts, maxTries int, fn func([]int) bool) {
-	switch {
-	case parts <= 0:
-		fn(nil)
-		return
-	case parts == 1:
-		fn([]int{total})
-		return
-	}
-	base := total / parts
-	// Candidate per-part values ordered by distance from the even
-	// share.
-	order := make([]int, 0, total+1)
-	seen := make(map[int]bool)
-	for d := 0; len(order) <= total; d++ {
-		for _, v := range []int{base + d, base - d} {
-			if v >= 0 && v <= total && !seen[v] {
-				seen[v] = true
-				order = append(order, v)
-			}
-		}
-		if d > total {
-			break
-		}
-	}
-	tries := 0
-	var rec func(split []int, idx, remaining int) bool
-	rec = func(split []int, idx, remaining int) bool {
-		if tries >= maxTries {
-			return true
-		}
-		if idx == parts-1 {
-			tries++
-			split[idx] = remaining
-			return fn(append([]int(nil), split...))
-		}
-		for _, v := range order {
-			if v > remaining {
-				continue
-			}
-			split[idx] = v
-			if rec(split, idx+1, remaining-v) {
-				return true
-			}
-		}
-		return false
-	}
-	rec(make([]int, parts), 0, total)
 }

@@ -4,6 +4,62 @@ import (
 	"testing"
 )
 
+// forEachSplit is the closure form of the receiver's multi-gap loss
+// split order, kept here as the specification searchSplits follows on
+// decode scratch. It enumerates ways to split total lost slots among
+// parts gaps, near-even splits first (gaps have equal durations, so
+// even splits are overwhelmingly likely), calling fn for each until fn
+// returns true or maxTries splits have been tried.
+func forEachSplit(total, parts, maxTries int, fn func([]int) bool) {
+	switch {
+	case parts <= 0:
+		fn(nil)
+		return
+	case parts == 1:
+		fn([]int{total})
+		return
+	}
+	base := total / parts
+	// Candidate per-part values ordered by distance from the even
+	// share.
+	order := make([]int, 0, total+1)
+	seen := make(map[int]bool)
+	for d := 0; len(order) <= total; d++ {
+		for _, v := range []int{base + d, base - d} {
+			if v >= 0 && v <= total && !seen[v] {
+				seen[v] = true
+				order = append(order, v)
+			}
+		}
+		if d > total {
+			break
+		}
+	}
+	tries := 0
+	var rec func(split []int, idx, remaining int) bool
+	rec = func(split []int, idx, remaining int) bool {
+		if tries >= maxTries {
+			return true
+		}
+		if idx == parts-1 {
+			tries++
+			split[idx] = remaining
+			return fn(append([]int(nil), split...))
+		}
+		for _, v := range order {
+			if v > remaining {
+				continue
+			}
+			split[idx] = v
+			if rec(split, idx+1, remaining-v) {
+				return true
+			}
+		}
+		return false
+	}
+	rec(make([]int, parts), 0, total)
+}
+
 func collectSplits(total, parts, maxTries int) [][]int {
 	var out [][]int
 	forEachSplit(total, parts, maxTries, func(s []int) bool {

@@ -16,6 +16,14 @@ import (
 // entry points run the same pipeline and produce identical results:
 // every step is exact GF(2^8) arithmetic, independent of buffer
 // reuse.
+//
+// Every polynomial evaluation — both syndrome passes, the Chien
+// search and Forney's numerator and denominator — is a sum of
+// products, each one load from the code's power tables and one from
+// gf256's product table. The products are independent of each other,
+// unlike a Horner chain, where each step waits on the previous
+// multiply. The sums are the same field elements Horner computes, so
+// the result is bit-identical (DESIGN.md §17).
 type Decoder struct {
 	c *Code
 
@@ -26,6 +34,7 @@ type Decoder struct {
 	loc              []byte
 	omega, deriv     []byte
 	positions        []int
+	erased           []bool // per position; all false between calls
 }
 
 // NewDecoder returns a decoder with scratch sized for the code.
@@ -44,6 +53,7 @@ func (c *Code) NewDecoder() *Decoder {
 		omega:     make([]byte, twoT),
 		deriv:     make([]byte, 0, twoT+1),
 		positions: make([]int, 0, twoT),
+		erased:    make([]bool, c.n),
 	}
 }
 
@@ -64,7 +74,7 @@ func (d *Decoder) Decode(codeword []byte, erasures []int) ([]byte, error) {
 		return nil, ErrTooManyErrors
 	}
 
-	syndromesInto(d.synd, codeword)
+	c.syndromesInto(d.synd, codeword)
 	if allZero(d.synd) {
 		return codeword[:c.k], nil
 	}
@@ -74,24 +84,30 @@ func (d *Decoder) Decode(codeword []byte, erasures []int) ([]byte, error) {
 	// pre-update coefficients) — the same convolution PolyMul computes.
 	g := append(d.gamma[:0], 1)
 	for _, pos := range erasures {
-		x := gf256.Exp(c.n - 1 - pos)
+		row := gf256.MulRow(gf256.Exp(c.n - 1 - pos))
 		g = append(g, 0)
 		for i := len(g) - 1; i >= 1; i-- {
-			g[i] ^= gf256.Mul(g[i-1], x)
+			g[i] ^= row[g[i-1]]
 		}
 	}
 	d.gamma = g
 
 	// Modified (Forney) syndromes: Ξ(x) = Γ(x)·S(x) mod x^(n−k).
-	for j := range d.fsynd {
+	// Berlekamp–Massey reads only Ξ_j for j ≥ the erasure count, so
+	// only those are formed.
+	for j := len(erasures); j < len(d.fsynd); j++ {
 		var s byte
 		for i := 0; i < len(g) && i <= j; i++ {
-			s ^= gf256.Mul(g[i], d.synd[j-i])
+			s ^= gf256.MulRow(g[i])[d.synd[j-i]]
 		}
 		d.fsynd[j] = s
 	}
 
 	errLoc, err := d.berlekampMassey(d.fsynd, len(erasures), c.n-c.k)
+	if err != nil {
+		return nil, err
+	}
+	positions, err := d.chienSearch(errLoc, erasures)
 	if err != nil {
 		return nil, err
 	}
@@ -102,36 +118,52 @@ func (d *Decoder) Decode(codeword []byte, erasures []int) ([]byte, error) {
 		var s byte
 		for j := 0; j < len(g) && j <= i; j++ {
 			if i-j < len(errLoc) {
-				s ^= gf256.Mul(g[j], errLoc[i-j])
+				s ^= gf256.MulRow(g[j])[errLoc[i-j]]
 			}
 		}
 		loc = append(loc, s)
 	}
 	d.loc = loc
 
-	positions, err := d.chienSearch(loc)
-	if err != nil {
-		return nil, err
-	}
 	if err := d.forneyCorrect(codeword, d.synd, loc, positions); err != nil {
 		return nil, err
 	}
 	// Re-verify: a miscorrection leaves nonzero syndromes.
-	syndromesInto(d.verify, codeword)
+	c.syndromesInto(d.verify, codeword)
 	if !allZero(d.verify) {
 		return nil, ErrTooManyErrors
 	}
 	return codeword[:c.k], nil
 }
 
-// syndromesInto fills synd with S_j = r(α^j).
-func syndromesInto(synd, codeword []byte) {
-	for j := range synd {
-		synd[j] = gf256.PolyEval(codeword, gf256.Exp(j))
+// syndromesInto fills synd with S_j = r(α^j) = Σ_i r_i·X_i^j, two
+// syndromes per pass over the codeword.
+func (c *Code) syndromesInto(synd, codeword []byte) {
+	n := c.n
+	codeword = codeword[:n]
+	j := 0
+	for ; j+1 < len(synd); j += 2 {
+		pw0 := c.synPow[j*n : j*n+n]
+		pw1 := c.synPow[(j+1)*n : (j+1)*n+n]
+		var s0, s1 byte
+		for i, r := range codeword {
+			row := gf256.MulRow(r)
+			s0 ^= row[pw0[i]]
+			s1 ^= row[pw1[i]]
+		}
+		synd[j], synd[j+1] = s0, s1
+	}
+	if j < len(synd) {
+		pw := c.synPow[j*n : j*n+n]
+		var s byte
+		for i, r := range codeword {
+			s ^= gf256.MulRow(r)[pw[i]]
+		}
+		synd[j] = s
 	}
 }
 
-// berlekampMassey mirrors the package-level pipeline on the decoder's
+// berlekampMassey is the textbook Berlekamp–Massey on the decoder's
 // scratch buffers: polynomial updates write in place (with a swap for
 // the length-change case) instead of allocating.
 func (d *Decoder) berlekampMassey(synd []byte, numEras, twoT int) ([]byte, error) {
@@ -145,7 +177,7 @@ func (d *Decoder) berlekampMassey(synd []byte, numEras, twoT int) ([]byte, error
 		n := i + numEras
 		delta := synd[n]
 		for j := 1; j <= l && j < len(sigma); j++ {
-			delta ^= gf256.Mul(sigma[j], synd[n-j])
+			delta ^= gf256.MulRow(sigma[j])[synd[n-j]]
 		}
 		if delta == 0 {
 			m++
@@ -181,72 +213,97 @@ func subShiftedInPlace(sigma, prev []byte, coef byte, shift int) []byte {
 	for len(sigma) < len(prev)+shift {
 		sigma = append(sigma, 0)
 	}
+	row := gf256.MulRow(coef)
 	for i, c := range prev {
-		sigma[i+shift] ^= gf256.Mul(c, coef)
+		sigma[i+shift] ^= row[c]
 	}
 	return sigma
 }
 
-// chienSearch is Code.chienSearch writing positions into scratch.
-func (d *Decoder) chienSearch(loc []byte) ([]int, error) {
+// chienSearch finds the codeword positions whose inverse locator is a
+// root of the combined locator loc = Γ·σ, ascending, into scratch, and
+// fails unless their count equals deg(loc) = len(erasures) + deg(σ)
+// (Γ's leading coefficient is the product of the erasure locators and
+// σ comes back trimmed, so neither product term vanishes).
+//
+// Γ's roots are exactly the erased positions, and a field has no zero
+// divisors, so position i is a root of loc iff it is erased or a root
+// of σ. Only σ is evaluated, and its degree is at most half the parity
+// the erasures leave, so invPow's rows cover it. A repeated erasure
+// is one position but two degrees of Γ, so it fails the count, as a
+// double root does in the search over loc.
+func (d *Decoder) chienSearch(sigma []byte, erasures []int) ([]int, error) {
 	c := d.c
-	deg := len(loc) - 1
-	for deg > 0 && loc[deg] == 0 {
-		deg--
+	erased := d.erased
+	for _, e := range erasures {
+		erased[e] = true
 	}
-	loc = loc[:deg+1]
+	w := c.n - c.k
 	positions := d.positions[:0]
 	for i := 0; i < c.n; i++ {
-		xInv := gf256.Exp(-(c.n - 1 - i))
+		if erased[i] {
+			positions = append(positions, i)
+			continue
+		}
+		pw := c.invPow[i*w : i*w+len(sigma)]
 		var v byte
-		for j := deg; j >= 0; j-- {
-			v = gf256.Mul(v, xInv) ^ loc[j]
+		for j, s := range sigma {
+			v ^= gf256.MulRow(s)[pw[j]]
 		}
 		if v == 0 {
 			positions = append(positions, i)
 		}
 	}
+	for _, e := range erasures {
+		erased[e] = false
+	}
 	d.positions = positions
-	if len(positions) != deg {
+	if len(positions) != len(erasures)+len(sigma)-1 {
 		return nil, ErrTooManyErrors
 	}
 	return positions, nil
 }
 
-// forneyCorrect is Code.forneyCorrect on scratch buffers.
+// forneyCorrect computes error magnitudes with Forney's algorithm and
+// repairs the codeword in place, position by position.
 func (d *Decoder) forneyCorrect(codeword, synd, loc []byte, positions []int) error {
 	c := d.c
 	twoT := c.n - c.k
+	// Error evaluator Ω(x) = S(x)·σ(x) mod x^(2t), lowest-first.
 	omega := d.omega[:twoT]
 	for i := 0; i < twoT; i++ {
 		var s byte
 		for j := 0; j < len(loc) && j <= i; j++ {
-			s ^= gf256.Mul(loc[j], synd[i-j])
+			s ^= gf256.MulRow(loc[j])[synd[i-j]]
 		}
 		omega[i] = s
 	}
+	// Formal derivative σ'(x): the odd-power coefficients, shifted
+	// down, leave only even powers of x; deriv[i] multiplies x^(2i).
 	deriv := d.deriv[:0]
 	for i := 1; i < len(loc); i += 2 {
 		deriv = append(deriv, loc[i])
 	}
 	d.deriv = deriv
 	for _, pos := range positions {
-		x := gf256.Exp(c.n - 1 - pos)
-		xInv := gf256.Inv(x)
-		var num byte
-		for i := len(omega) - 1; i >= 0; i-- {
-			num = gf256.Mul(num, xInv) ^ omega[i]
+		// pw[j] = X^(−j) for j < n−k: Ω has n−k coefficients, and σ'
+		// reaches X^(−2i) with 2i ≤ deg(loc)−1 < n−k.
+		pw := c.invPow[pos*twoT : pos*twoT+twoT]
+		var num byte // Ω(X^(−1))
+		for i, o := range omega {
+			num ^= gf256.MulRow(o)[pw[i]]
 		}
-		x2 := gf256.Mul(xInv, xInv)
-		var den byte
-		for i := len(deriv) - 1; i >= 0; i-- {
-			den = gf256.Mul(den, x2) ^ deriv[i]
+		var den byte // σ'(X^(−1))
+		for i, dv := range deriv {
+			den ^= gf256.MulRow(dv)[pw[2*i]]
 		}
 		if den == 0 {
 			return ErrTooManyErrors
 		}
+		// Forney: e = X·Ω(X^{-1})/σ'(X^{-1}) for the b=0 syndrome
+		// convention (first consecutive root α^0).
 		mag := gf256.Mul(num, gf256.Inv(den))
-		mag = gf256.Mul(mag, x)
+		mag = gf256.Mul(mag, gf256.Exp(c.n-1-pos))
 		codeword[pos] ^= mag
 	}
 	return nil

@@ -8,7 +8,9 @@ import (
 // FuzzRSDecode feeds the decoder arbitrary codewords and erasure
 // lists over fuzz-chosen (n, k) geometries. Decode must never panic:
 // malformed erasure indexes (negative, duplicate, out of range) and
-// unsatisfiable syndromes must come back as errors. When Decode does
+// unsatisfiable syndromes must come back as errors. It must also agree
+// with the reference pipeline on every input: the same returned bytes,
+// the same corrected codeword and the same error. When Decode does
 // claim success, the result must be a k-byte message whose
 // re-encoding reproduces the corrected codeword — success is
 // verifiable, not just plausible.
@@ -37,7 +39,8 @@ func FuzzRSDecode(f *testing.F) {
 				erasures = append(erasures, int(e)-4)
 			}
 		}
-		msg, err := c.Decode(append([]byte(nil), codeword...), erasures)
+		corrected := append([]byte(nil), codeword...)
+		msg, err := checkAgainstReference(t, c, c.NewDecoder(), corrected, erasures)
 		if err != nil {
 			return
 		}
@@ -48,8 +51,29 @@ func FuzzRSDecode(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encode: %v", err)
 		}
-		if !bytes.Equal(recoded[:k], msg) {
-			t.Errorf("systematic prefix mismatch")
+		if !bytes.Equal(recoded, corrected) {
+			t.Errorf("claimed success but the corrected buffer is not a codeword")
 		}
 	})
+}
+
+// checkAgainstReference decodes codeword in place with dec and a copy
+// with the reference pipeline, and fails the test unless both return
+// the same bytes, leave the same buffer and fail with the same error.
+// It returns the decoder's result.
+func checkAgainstReference(t *testing.T, c *Code, dec *Decoder, codeword []byte, erasures []int) ([]byte, error) {
+	t.Helper()
+	ref := append([]byte(nil), codeword...)
+	wantMsg, wantErr := c.referenceDecode(ref, erasures)
+	msg, err := dec.Decode(codeword, erasures)
+	if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+		t.Fatalf("RS(%d,%d) erasures %v: Decode error %v, reference %v", c.n, c.k, erasures, err, wantErr)
+	}
+	if !bytes.Equal(msg, wantMsg) {
+		t.Fatalf("RS(%d,%d) erasures %v: Decode returned %x, reference %x", c.n, c.k, erasures, msg, wantMsg)
+	}
+	if !bytes.Equal(codeword, ref) {
+		t.Fatalf("RS(%d,%d) erasures %v: Decode left codeword %x, reference %x", c.n, c.k, erasures, codeword, ref)
+	}
+	return msg, err
 }

@@ -133,3 +133,87 @@ func TestPropertyOverBudgetNeverMiscorrectsSilently(t *testing.T) {
 		}
 	}
 }
+
+// TestPropertyMatchesReference drives one reused Decoder and the
+// reference pipeline with the same seeded inputs and requires the
+// same returned bytes, the same corrected codeword and the same
+// success or failure on each. The geometries are the two the default
+// links use, RS(35,17) and RS(33,11), a single-parity code, RS(12,11),
+// and random (n, k). Inputs mix
+// errors and erasures up to and past the budget, erasure sets that
+// point at the wrong positions (a wrong loss-split guess), duplicate
+// erasure positions and out-of-range ones.
+func TestPropertyMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	geoms := [][2]int{{35, 17}, {33, 11}, {12, 11}} // and a single parity byte
+	for len(geoms) < 27 {
+		n := 2 + rng.Intn(254)
+		geoms = append(geoms, [2]int{n, 1 + rng.Intn(n-1)})
+	}
+	var ok, failed int
+	for _, g := range geoms {
+		c := MustNew(g[0], g[1])
+		dec := c.NewDecoder() // scratch reused across trials, as the receiver does
+		for trial := 0; trial < 300; trial++ {
+			cw, erasures := randomDamage(rng, c)
+			if _, err := checkAgainstReference(t, c, dec, cw, erasures); err != nil {
+				failed++
+			} else {
+				ok++
+			}
+		}
+	}
+	// Both outcomes must be well represented, or the comparison says
+	// little about one of the two paths.
+	if ok < 1000 || failed < 1000 {
+		t.Errorf("%d decodes succeeded and %d failed; want at least 1000 of each", ok, failed)
+	}
+}
+
+// randomDamage returns a random codeword of c damaged with e unknown
+// errors and r erased bytes, with 2e + r drawn up to three past the
+// parity budget, and the erasure list the decoder is told about: most
+// often the true erased positions, sometimes a shifted set, and
+// sometimes with a repeated or out-of-range position appended.
+func randomDamage(rng *rand.Rand, c *Code) ([]byte, []int) {
+	n, parity := c.n, c.n-c.k
+	data := make([]byte, c.k)
+	rng.Read(data)
+	cw, err := c.Encode(data)
+	if err != nil {
+		panic(err)
+	}
+	budget := rng.Intn(parity + 4)
+	e := rng.Intn(budget/2 + 1)
+	r := min(budget-2*e, n-e)
+	if rng.Intn(3) == 0 {
+		// Erasure-heavy, as a gap loss is: the whole budget erased.
+		e, r = 0, min(budget, n)
+	}
+	perm := rng.Perm(n)
+	for _, p := range perm[:e] {
+		cw[p] ^= byte(1 + rng.Intn(255))
+	}
+	erasures := append([]int(nil), perm[e:e+r]...)
+	for _, p := range erasures {
+		if rng.Intn(2) == 0 {
+			cw[p] = 0 // a lost symbol is filled with zero
+		} else {
+			cw[p] = byte(rng.Intn(256))
+		}
+	}
+	switch rng.Intn(10) {
+	case 0: // wrong loss split: every declared position shifted
+		shift := 1 + rng.Intn(3)
+		for i := range erasures {
+			erasures[i] = (erasures[i] + shift) % n
+		}
+	case 1: // duplicate position
+		if len(erasures) > 0 {
+			erasures = append(erasures, erasures[rng.Intn(len(erasures))])
+		}
+	case 2: // out of range
+		erasures = append(erasures, []int{-1, n, n + rng.Intn(10)}[rng.Intn(3)])
+	}
+	return cw, erasures
+}

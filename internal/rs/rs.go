@@ -14,6 +14,9 @@
 // The decoder implements the textbook pipeline: syndrome computation,
 // Berlekamp–Massey (with erasure initialization via the Forney
 // variant), Chien search, and Forney's algorithm for error magnitudes.
+// Its polynomial evaluations read per-code power tables and the gf256
+// product table instead of running Horner chains (DESIGN.md §17); the
+// allocating textbook form lives in the tests as the reference oracle.
 package rs
 
 import (
@@ -31,6 +34,14 @@ var ErrTooManyErrors = errors.New("rs: too many errors to correct")
 type Code struct {
 	n, k int
 	gen  []byte // generator polynomial, degree n-k
+
+	// Power tables for the decoder, built once per code and read-only
+	// after New (DESIGN.md §17). Codeword position i has locator
+	// X_i = α^(n−1−i); j runs over [0, n−k).
+	//   synPow[j·n + i]     = X_i^j: position i's factor in S_j;
+	//   invPow[i·(n−k) + j] = X_i^(−j): the powers of the point the
+	//                         Chien search and Forney evaluate at i.
+	synPow, invPow []byte
 }
 
 // New returns an RS(n, k) code over GF(2^8). n must be in (k, 255]
@@ -39,11 +50,24 @@ func New(n, k int) (*Code, error) {
 	if k <= 0 || n <= k || n > 255 {
 		return nil, fmt.Errorf("rs: invalid parameters n=%d k=%d (need 0 < k < n <= 255)", n, k)
 	}
+	twoT := n - k
 	gen := []byte{1}
-	for i := 0; i < n-k; i++ {
+	for i := 0; i < twoT; i++ {
 		gen = gf256.PolyMul(gen, []byte{1, gf256.Exp(i)})
 	}
-	return &Code{n: n, k: k, gen: gen}, nil
+	synPow := make([]byte, twoT*n)
+	for j := 0; j < twoT; j++ {
+		for i := 0; i < n; i++ {
+			synPow[j*n+i] = gf256.Exp(j * (n - 1 - i))
+		}
+	}
+	invPow := make([]byte, n*twoT)
+	for i := 0; i < n; i++ {
+		for j := 0; j < twoT; j++ {
+			invPow[i*twoT+j] = gf256.Exp(-j * (n - 1 - i))
+		}
+	}
+	return &Code{n: n, k: k, gen: gen, synPow: synPow, invPow: invPow}, nil
 }
 
 // MustNew is New, panicking on invalid parameters. For package-level
@@ -130,160 +154,6 @@ func (c *Code) EncodeInto(dst, data []byte) ([]byte, error) {
 // GF(2^8) multiplication is commutative and exact.
 func (c *Code) Decode(codeword []byte, erasures []int) ([]byte, error) {
 	return c.NewDecoder().Decode(codeword, erasures)
-}
-
-// syndromes returns S_j = r(α^j) for j in [0, n−k).
-func (c *Code) syndromes(codeword []byte) []byte {
-	synd := make([]byte, c.n-c.k)
-	for j := range synd {
-		synd[j] = gf256.PolyEval(codeword, gf256.Exp(j))
-	}
-	return synd
-}
-
-// forneySyndromes multiplies the syndrome polynomial by the erasure
-// locator, truncated to n−k terms. Syndromes are stored lowest order
-// first (S_0 … S_{2t−1}).
-func (c *Code) forneySyndromes(synd, gamma []byte) []byte {
-	out := make([]byte, len(synd))
-	for j := range out {
-		var s byte
-		for i := 0; i < len(gamma) && i <= j; i++ {
-			s ^= gf256.Mul(gamma[i], synd[j-i])
-		}
-		out[j] = s
-	}
-	return out
-}
-
-// berlekampMassey finds the error-locator polynomial (lowest degree
-// first: σ(x) = 1 + σ1·x + …) from the (modified) syndromes. numEras
-// erasures have already been accounted for; the number of additional
-// errors ν must satisfy 2ν + numEras ≤ 2t.
-func berlekampMassey(synd []byte, numEras, twoT int) ([]byte, error) {
-	sigma := []byte{1}
-	prev := []byte{1}
-	var l int
-	var m = 1
-	var b byte = 1
-	for i := 0; i < twoT-numEras; i++ {
-		n := i + numEras
-		// Discrepancy δ = S_n + Σ σ_j · S_{n−j}.
-		delta := synd[n]
-		for j := 1; j <= l && j < len(sigma); j++ {
-			delta ^= gf256.Mul(sigma[j], synd[n-j])
-		}
-		if delta == 0 {
-			m++
-			continue
-		}
-		if 2*l <= i {
-			tmp := append([]byte(nil), sigma...)
-			coef := gf256.Div(delta, b)
-			sigma = polySubShifted(sigma, prev, coef, m)
-			prev = tmp
-			l = i + 1 - l
-			b = delta
-			m = 1
-		} else {
-			coef := gf256.Div(delta, b)
-			sigma = polySubShifted(sigma, prev, coef, m)
-			m++
-		}
-	}
-	// Degree check: locator degree must equal l and fit capability.
-	deg := len(sigma) - 1
-	for deg > 0 && sigma[deg] == 0 {
-		deg--
-	}
-	if 2*deg+numEras > twoT {
-		return nil, ErrTooManyErrors
-	}
-	return sigma[:deg+1], nil
-}
-
-// polySubShifted returns sigma − coef·x^shift·prev with lowest-first
-// ordering (subtraction is XOR).
-func polySubShifted(sigma, prev []byte, coef byte, shift int) []byte {
-	out := make([]byte, max(len(sigma), len(prev)+shift))
-	copy(out, sigma)
-	for i, c := range prev {
-		out[i+shift] ^= gf256.Mul(c, coef)
-	}
-	return out
-}
-
-// chienSearch finds codeword positions whose locator roots match.
-// loc is lowest-degree-first. Returns positions sorted ascending.
-func (c *Code) chienSearch(loc []byte) ([]int, error) {
-	deg := len(loc) - 1
-	for deg > 0 && loc[deg] == 0 {
-		deg--
-	}
-	loc = loc[:deg+1]
-	var positions []int
-	for i := 0; i < c.n; i++ {
-		// Position i has locator X_i = α^(n−1−i); it is an error
-		// position iff σ(X_i^{-1}) == 0.
-		xInv := gf256.Exp(-(c.n - 1 - i))
-		var v byte
-		for j := deg; j >= 0; j-- {
-			v = gf256.Mul(v, xInv) ^ loc[j]
-		}
-		if v == 0 {
-			positions = append(positions, i)
-		}
-	}
-	if len(positions) != deg {
-		return nil, ErrTooManyErrors
-	}
-	return positions, nil
-}
-
-// forneyCorrect computes error magnitudes with Forney's algorithm and
-// repairs the codeword in place.
-func (c *Code) forneyCorrect(codeword, synd, loc []byte, positions []int) error {
-	// Error evaluator Ω(x) = S(x)·σ(x) mod x^(2t), lowest-first.
-	twoT := c.n - c.k
-	omega := make([]byte, twoT)
-	for i := 0; i < twoT; i++ {
-		var s byte
-		for j := 0; j < len(loc) && j <= i; j++ {
-			s ^= gf256.Mul(loc[j], synd[i-j])
-		}
-		omega[i] = s
-	}
-	// Formal derivative σ'(x): odd-power coefficients shifted down.
-	deriv := make([]byte, 0, len(loc)/2)
-	for i := 1; i < len(loc); i += 2 {
-		deriv = append(deriv, loc[i])
-	}
-	for _, pos := range positions {
-		x := gf256.Exp(c.n - 1 - pos)
-		xInv := gf256.Inv(x)
-		// Ω(X^{-1})
-		var num byte
-		for i := len(omega) - 1; i >= 0; i-- {
-			num = gf256.Mul(num, xInv) ^ omega[i]
-		}
-		// σ'(X^{-1}) — derivative has only even powers of xInv left:
-		// σ'(x) evaluated at xInv over the compacted coefficients uses
-		// xInv^2 steps.
-		x2 := gf256.Mul(xInv, xInv)
-		var den byte
-		for i := len(deriv) - 1; i >= 0; i-- {
-			den = gf256.Mul(den, x2) ^ deriv[i]
-		}
-		if den == 0 {
-			return ErrTooManyErrors
-		}
-		mag := gf256.Mul(num, gf256.Inv(den))
-		// Forney: e = X·Ω(X^{-1})/σ'(X^{-1}) for the b=0 syndrome
-		// convention (first consecutive root α^0).
-		mag = gf256.Mul(mag, x)
-		codeword[pos] ^= mag
-	}
-	return nil
 }
 
 func allZero(b []byte) bool {

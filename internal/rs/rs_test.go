@@ -60,6 +60,28 @@ func TestEncodeWrongLength(t *testing.T) {
 	}
 }
 
+// TestEncodeIntoMatchesEncode checks the buffer-reusing encoder
+// against Encode over random geometries, reusing one dst throughout.
+func TestEncodeIntoMatchesEncode(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	var dst []byte
+	for trial := 0; trial < 200; trial++ {
+		n := 2 + rng.Intn(254)
+		c := MustNew(n, 1+rng.Intn(n-1))
+		data := make([]byte, c.K())
+		rng.Read(data)
+		want, _ := c.Encode(data)
+		var err error
+		dst, err = c.EncodeInto(dst[:0], data)
+		if err != nil || !bytes.Equal(dst, want) {
+			t.Fatalf("RS(%d,%d): EncodeInto %x, %v; Encode %x", c.N(), c.K(), dst, err, want)
+		}
+	}
+	if _, err := MustNew(20, 12).EncodeInto(nil, make([]byte, 5)); err == nil {
+		t.Error("expected length error")
+	}
+}
+
 func TestDecodeClean(t *testing.T) {
 	c := MustNew(30, 20)
 	data := make([]byte, 20)
@@ -361,6 +383,35 @@ func BenchmarkDecodeMaxErrors(b *testing.B) {
 		buf := append([]byte(nil), corrupted...)
 		if _, err := c.Decode(buf, nil); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDecodeWrongErasures times the failure path the receiver's
+// loss-split search takes on almost every attempt: RS(35,17), the
+// default 4-CSK link's code, with 14 erased bytes (inside the parity
+// budget less the 4-byte verification slack) declared four bytes
+// after where the loss really fell: four undeclared errors plus 14
+// erasures need 22 parity bytes, and the code has 18.
+func BenchmarkDecodeWrongErasures(b *testing.B) {
+	c := MustNew(35, 17)
+	rng := rand.New(rand.NewSource(1))
+	data := make([]byte, 17)
+	rng.Read(data)
+	cw, _ := c.Encode(data)
+	erasures := make([]int, 14)
+	for i := range erasures {
+		cw[10+i] = 0
+		erasures[i] = 14 + i
+	}
+	dec := c.NewDecoder()
+	buf := make([]byte, len(cw))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(buf, cw)
+		if _, err := dec.Decode(buf, erasures); err == nil {
+			b.Fatal("a wrong erasure set decoded")
 		}
 	}
 }
