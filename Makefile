@@ -1,9 +1,10 @@
 GO ?= go
 
-.PHONY: ci vet build test perfbench race race-pipeline fault-soak adapt-soak ingest-soak fuzz-smoke bench bench-gate bench-pair golden cover
+.PHONY: ci vet build test test-386 perfbench race race-pipeline fault-soak adapt-soak ingest-soak fuzz-smoke bench bench-gate bench-pair golden cover
 
 # ci is the full gate: static checks, build, the test suite, the
-# repository benchmark's own checks, a short fuzz smoke over every
+# receiver front end's tests under GOARCH=386, the repository
+# benchmark's own checks, a short fuzz smoke over every
 # fuzz target, the race-enabled pass over the
 # concurrent pipeline (the packages where races can actually live),
 # the deterministic chaos soak, the adaptive-link chaos soak (the
@@ -15,9 +16,10 @@ GO ?= go
 # the one benchmark gate, bench-gate, which compares no timing and so
 # passes on any host. Each soak test runs once. Budget: 441 s wall on a
 # 2-vCPU VM; race-pipeline (144 s), the test suite (85 s) and
-# fault-soak (79 s) dominate. The full-suite race run stays available as
-# `make race` but is too slow for the default gate.
-ci: vet build test perfbench fuzz-smoke race-pipeline fault-soak adapt-soak ingest-soak bench bench-gate
+# fault-soak (79 s) dominate. test-386 adds about 6 s with a warm build
+# cache. The full-suite race run stays available as `make race` but is
+# too slow for the default gate.
+ci: vet build test test-386 perfbench fuzz-smoke race-pipeline fault-soak adapt-soak ingest-soak bench bench-gate
 
 vet:
 	$(GO) vet ./...
@@ -35,6 +37,16 @@ build:
 SOAK_TESTS = ^(TestSoakHealthPerClass|TestAdaptSoakBeatsFixed|TestAdaptSoakDeterminism)$$
 test:
 	$(GO) test -shuffle=on -skip '$(SOAK_TESTS)' ./...
+
+# test-386 runs the receiver front end's tests under GOARCH=386, where
+# the row sum is the portable twelve-lane fold instead of the amd64
+# SSE2 kernel: the row-sum tests pin both to the same bits, and the
+# golden corpus, the differential harness and the two front-end fuzz
+# targets' seeds must pass unchanged. About 6 s with a warm build
+# cache (the first run also compiles the standard library for 386).
+FRONT_END_TESTS = ^(TestSumPix12MatchesScalar|TestSumPix12Signs|TestExtractPlanesBitExact|TestGoldenCorpus|TestGoldenDifferential|FuzzStripSegment|FuzzFrontEndDifferential)$$
+test-386:
+	GOARCH=386 $(GO) test -count=1 -run '$(FRONT_END_TESTS)' ./internal/modem/
 
 # perfbench vets and unit-tests the repository benchmark (its own Go
 # module under perfbench/, which builds against this checkout), so an

@@ -20,6 +20,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -45,7 +46,7 @@ func main() {
 	}
 }
 
-func run() error {
+func run() (err error) {
 	exp := flag.String("exp", "all", "experiment to run: all, table1, fig3b, fig3c, fig6, fig8b, grid, baseline, ablations, distance, pipeline, fault, density")
 	duration := flag.Float64("duration", 3, "simulated seconds per measured cell")
 	seed := flag.Int64("seed", 1, "deterministic seed")
@@ -87,36 +88,11 @@ func run() error {
 		os.Exit(2)
 	}
 
-	if *tracePath != "" {
-		// A sink on the process registry sees every span and counter:
-		// each experiment's run registry is a child of the process one,
-		// and events propagate to every ancestor with a sink attached.
-		tf, err := os.Create(*tracePath)
-		if err != nil {
-			return err
-		}
-		trace := telemetry.NewJSONLSink(tf)
-		telemetry.Process().SetSink(trace)
-		defer func() {
-			if err := trace.Err(); err != nil {
-				fmt.Fprintf(os.Stderr, "trace: %v\n", err)
-			}
-			tf.Close()
-			fmt.Fprintf(os.Stderr, "trace written to %s\n", *tracePath)
-		}()
+	stop, err := telemetry.ServeTool(*telemetryAddr, *tracePath)
+	if err != nil {
+		return err
 	}
-	if *telemetryAddr != "" {
-		// Every metrics.Run rolls its counters up into the process
-		// registry, so the expvar endpoint shows live aggregate progress
-		// across all experiment cells.
-		telemetry.PublishExpvar("colorbars", telemetry.Process())
-		l, err := telemetry.ServeDebug(*telemetryAddr)
-		if err != nil {
-			return err
-		}
-		defer l.Close()
-		fmt.Fprintf(os.Stderr, "telemetry: expvar and pprof on http://%s/debug/\n", l.Addr())
-	}
+	defer func() { err = errors.Join(err, stop()) }()
 
 	// Every stochastic component below derives its own stream from this
 	// one root seed (fault.DeriveSeed), so any cell can be re-run in

@@ -27,6 +27,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -45,7 +46,7 @@ func main() {
 	}
 }
 
-func run() error {
+func run() (err error) {
 	addr := flag.String("addr", "", "ingest service address (empty = self-host an in-process service)")
 	devices := flag.Int("devices", 500, "fleet size")
 	rounds := flag.Int("rounds", 2, "sessions per device (>= 2 exercises the calibration cache)")
@@ -65,15 +66,11 @@ func run() error {
 	jsonOut := flag.String("json", "", "also write the result as JSON to this file")
 	flag.Parse()
 
-	if *telemetryAddr != "" {
-		telemetry.PublishExpvar("colorbars", telemetry.Process())
-		l, err := telemetry.ServeDebug(*telemetryAddr)
-		if err != nil {
-			return err
-		}
-		defer l.Close()
-		fmt.Fprintf(os.Stderr, "telemetry: expvar, pprof and /debug/ingest on http://%s/debug/\n", l.Addr())
+	stop, err := telemetry.ServeTool(*telemetryAddr, "")
+	if err != nil {
+		return err
 	}
+	defer func() { err = errors.Join(err, stop()) }()
 
 	target := *addr
 	if target == "" {

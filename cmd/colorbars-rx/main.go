@@ -34,6 +34,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -59,7 +60,7 @@ func main() {
 	}
 }
 
-func run() error {
+func run() (err error) {
 	device := flag.String("device", "nexus5", "receiver device: nexus5, iphone5s, ideal")
 	order := flag.Int("order", 16, "CSK order: 4, 8, 16, 32")
 	rate := flag.Float64("rate", 4000, "symbol rate in Hz")
@@ -83,15 +84,11 @@ func run() error {
 	if !ok {
 		return fmt.Errorf("unknown device %q", *device)
 	}
-	if *telemetryAddr != "" {
-		telemetry.PublishExpvar("colorbars", telemetry.Process())
-		l, err := telemetry.ServeDebug(*telemetryAddr)
-		if err != nil {
-			return err
-		}
-		defer l.Close()
-		fmt.Fprintf(os.Stderr, "telemetry: expvar and pprof on http://%s/debug/\n", l.Addr())
+	stop, err := telemetry.ServeTool(*telemetryAddr, *tracePath)
+	if err != nil {
+		return err
 	}
+	defer func() { err = errors.Join(err, stop()) }()
 
 	in := os.Stdin
 	if flag.NArg() > 0 && flag.Arg(0) != "-" {
@@ -117,16 +114,6 @@ func run() error {
 		WhiteFraction:      *white,
 		TrackAnnouncedRung: *adapt,
 	}
-	var trace *telemetry.JSONLSink
-	if *tracePath != "" {
-		tf, err := os.Create(*tracePath)
-		if err != nil {
-			return err
-		}
-		defer tf.Close()
-		trace = telemetry.NewJSONLSink(tf)
-	}
-
 	capture := wave.Duration()
 	if *duration > 0 && *duration < capture {
 		capture = *duration
@@ -153,9 +140,6 @@ func run() error {
 		s, err := p.AddStream(id, cfg)
 		if err != nil {
 			return err
-		}
-		if trace != nil {
-			s.Telemetry().SetSink(trace) // JSONL sink is concurrency-safe
 		}
 		// Live link report at /debug/link (visible via -telemetry-addr).
 		s.PublishLink()
@@ -255,12 +239,6 @@ func run() error {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "link reports written to %s\n", *reportJSON)
-	}
-	if trace != nil {
-		if err := trace.Err(); err != nil {
-			return fmt.Errorf("trace: %w", err)
-		}
-		fmt.Fprintf(os.Stderr, "trace written to %s\n", *tracePath)
 	}
 	if found == 0 {
 		return fmt.Errorf("no message recovered")

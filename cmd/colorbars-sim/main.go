@@ -19,6 +19,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -43,7 +44,7 @@ func main() {
 	}
 }
 
-func run() error {
+func run() (err error) {
 	device := flag.String("device", "nexus5", "receiver device: nexus5, iphone5s, ideal")
 	order := flag.Int("order", 16, "CSK order: 4, 8, 16, 32")
 	rate := flag.Float64("rate", 4000, "symbol rate in Hz")
@@ -66,33 +67,11 @@ func run() error {
 		fmt.Fprintf(os.Stderr, "unknown device %q (want nexus5, iphone5s, ideal)\n", *device)
 		os.Exit(2)
 	}
-	if *tracePath != "" {
-		// The transmitter's and receiver's registries are children of
-		// the process registry, so one process-level sink traces the
-		// whole link end to end.
-		tf, err := os.Create(*tracePath)
-		if err != nil {
-			return err
-		}
-		trace := telemetry.NewJSONLSink(tf)
-		telemetry.Process().SetSink(trace)
-		defer func() {
-			if err := trace.Err(); err != nil {
-				fmt.Fprintf(os.Stderr, "trace: %v\n", err)
-			}
-			tf.Close()
-			fmt.Fprintf(os.Stderr, "trace written to %s\n", *tracePath)
-		}()
+	stop, err := telemetry.ServeTool(*telemetryAddr, *tracePath)
+	if err != nil {
+		return err
 	}
-	if *telemetryAddr != "" {
-		telemetry.PublishExpvar("colorbars", telemetry.Process())
-		l, err := telemetry.ServeDebug(*telemetryAddr)
-		if err != nil {
-			return err
-		}
-		defer l.Close()
-		fmt.Fprintf(os.Stderr, "telemetry: expvar and pprof on http://%s/debug/\n", l.Addr())
-	}
+	defer func() { err = errors.Join(err, stop()) }()
 	if *adapt {
 		return runAdaptive(prof, *duration, *seed, *chaos)
 	}

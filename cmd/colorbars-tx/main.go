@@ -21,6 +21,7 @@ package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -40,7 +41,7 @@ func main() {
 	}
 }
 
-func run() error {
+func run() (err error) {
 	order := flag.Int("order", 16, "CSK order: 4, 8, 16, 32")
 	rate := flag.Float64("rate", 4000, "symbol rate in Hz")
 	white := flag.Float64("white", 0, "white illumination fraction (0 = auto)")
@@ -51,30 +52,11 @@ func run() error {
 	tracePath := flag.String("trace", "", "write a JSONL trace of every stage span and counter to this file")
 	flag.Parse()
 
-	if *tracePath != "" {
-		tf, err := os.Create(*tracePath)
-		if err != nil {
-			return err
-		}
-		trace := telemetry.NewJSONLSink(tf)
-		telemetry.Process().SetSink(trace)
-		defer func() {
-			if err := trace.Err(); err != nil {
-				fmt.Fprintf(os.Stderr, "trace: %v\n", err)
-			}
-			tf.Close()
-			fmt.Fprintf(os.Stderr, "trace written to %s\n", *tracePath)
-		}()
+	stop, err := telemetry.ServeTool(*telemetryAddr, *tracePath)
+	if err != nil {
+		return err
 	}
-	if *telemetryAddr != "" {
-		telemetry.PublishExpvar("colorbars", telemetry.Process())
-		l, err := telemetry.ServeDebug(*telemetryAddr)
-		if err != nil {
-			return err
-		}
-		defer l.Close()
-		fmt.Fprintf(os.Stderr, "telemetry: expvar and pprof on http://%s/debug/\n", l.Addr())
-	}
+	defer func() { err = errors.Join(err, stop()) }()
 
 	message := strings.Join(flag.Args(), " ")
 	if message == "" {

@@ -2,11 +2,11 @@ package colorspace
 
 import "math"
 
-// This file is the vectorized fast path for the receiver's per-frame
-// color conversion: the sRGB inverse tone curve and the labF cube-root
-// transfer are tabulated once at startup, the RGB→XYZ matrix is
-// premultiplied by the reciprocal D65 white point, and whole scanline
-// planes are converted in one pass over flat []float64 slices.
+// This file is the fast path for the receiver's per-frame color
+// conversion: the sRGB inverse tone curve and the labF cube-root
+// transfer are tabulated once at startup, and the RGB→XYZ matrix is
+// premultiplied by the reciprocal D65 white point. The modem converts
+// each scanline's mean color through LinearRGBToLabFast.
 //
 // Accuracy contract (verified by TestLUTLabError / TestLUTDeltaE2000):
 // for inputs in [0, 1] the tabulated conversions stay within
@@ -118,27 +118,6 @@ func LinearRGBToLabFast(c RGB) Lab { return linearToLabFast(c.R, c.G, c.B) }
 // through the fused tone-curve and labF tables.
 func SRGBToLabFast(c RGB) Lab {
 	return linearToLabFast(SRGBToLinearFast(c.R), SRGBToLinearFast(c.G), SRGBToLinearFast(c.B))
-}
-
-// LinearPlanesToLab converts flat linear-RGB planes to Lab planes in
-// one pass: l/a/b receive the Lab channels of each (r[i], g[i], bl[i])
-// triple. All six slices must have equal length; the destination
-// planes may not alias the sources. This is the columnar conversion
-// the modem's frame front end runs once per scanline block.
-func LinearPlanesToLab(l, a, b, r, g, bl []float64) {
-	_ = l[len(r)-1] // eliminate bounds checks in the loop below
-	_ = a[len(r)-1]
-	_ = b[len(r)-1]
-	_ = g[len(r)-1]
-	_ = bl[len(r)-1]
-	for i := range r {
-		fx := labFFast(rgbToXYZRatio[0][0]*r[i] + rgbToXYZRatio[0][1]*g[i] + rgbToXYZRatio[0][2]*bl[i])
-		fy := labFFast(rgbToXYZRatio[1][0]*r[i] + rgbToXYZRatio[1][1]*g[i] + rgbToXYZRatio[1][2]*bl[i])
-		fz := labFFast(rgbToXYZRatio[2][0]*r[i] + rgbToXYZRatio[2][1]*g[i] + rgbToXYZRatio[2][2]*bl[i])
-		l[i] = 116*fy - 16
-		a[i] = 500 * (fx - fy)
-		b[i] = 200 * (fy - fz)
-	}
 }
 
 // DistSq returns the squared Euclidean distance between two {a,b}

@@ -81,25 +81,6 @@ func TestLUTFallbacksExact(t *testing.T) {
 	}
 }
 
-// TestLinearPlanesToLabMatchesScalar: the columnar conversion must be
-// bit-identical to the scalar fast conversion applied per element.
-func TestLinearPlanesToLabMatchesScalar(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	const n = 513
-	r, g, b := make([]float64, n), make([]float64, n), make([]float64, n)
-	for i := range r {
-		r[i], g[i], b[i] = rng.Float64(), rng.Float64(), rng.Float64()
-	}
-	l, a, bb := make([]float64, n), make([]float64, n), make([]float64, n)
-	LinearPlanesToLab(l, a, bb, r, g, b)
-	for i := range r {
-		want := LinearRGBToLabFast(RGB{r[i], g[i], b[i]})
-		if l[i] != want.L || a[i] != want.A || bb[i] != want.B {
-			t.Fatalf("plane[%d] = (%v,%v,%v), want %v", i, l[i], a[i], bb[i], want)
-		}
-	}
-}
-
 // TestDeltaE2000ABMatchesPinned: the pinned-lightness fast variant is
 // bit-identical to the full formula whenever both colors share any
 // lightness (the S_L term vanishes with dL = 0).
@@ -141,24 +122,6 @@ func BenchmarkLinearRGBToLabFast(b *testing.B) {
 	c := RGB{0.3, 0.6, 0.1}
 	for i := 0; i < b.N; i++ {
 		_ = LinearRGBToLabFast(c)
-	}
-}
-
-func BenchmarkLinearPlanesToLab(b *testing.B) {
-	const n = 4096
-	r := make([]float64, n)
-	g := make([]float64, n)
-	bl := make([]float64, n)
-	for i := range r {
-		r[i] = float64(i) / n
-		g[i] = float64(n-i) / n
-		bl[i] = 0.5
-	}
-	l, a, bb := make([]float64, n), make([]float64, n), make([]float64, n)
-	b.SetBytes(n * 8 * 3)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		LinearPlanesToLab(l, a, bb, r, g, bl)
 	}
 }
 

@@ -168,9 +168,9 @@ func TestRunWorkersEquivalent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The pipeline adds its own counters (pipeline.frames_in etc.) and
-	// swaps rx.frame spans for rx.analyze, so only the measurement
-	// results and receiver stats are compared.
+	// The pipeline adds its own counters and spans (pipeline.frames_in
+	// etc.), so only the measurement results and receiver stats are
+	// compared.
 	serial.Telemetry, piped.Telemetry = telemetry.Snapshot{}, telemetry.Snapshot{}
 	if !reflect.DeepEqual(serial, piped) {
 		t.Errorf("pipeline decode changed measurements:\nserial %+v\npiped  %+v", serial, piped)

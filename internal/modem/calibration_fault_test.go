@@ -53,7 +53,7 @@ func TestCalibrationSplitAcrossGap(t *testing.T) {
 	whole := calFrame(t, rx)
 	mid := len(whole) - 1 - int(rx.cfg.Order)/2 // split inside the body
 	pushFrame(rx, whole[:mid])
-	pushFrame(rx, whole[mid:]) // finishSymbols inserts the gap marker
+	pushFrame(rx, whole[mid:]) // ProcessAnalysis inserts the gap marker
 	st := rx.Stats()
 	if rx.Calibrated() {
 		t.Fatal("receiver calibrated from a gap-split calibration packet")

@@ -6,23 +6,25 @@ import (
 
 	"colorbars/internal/camera"
 	"colorbars/internal/colorspace"
-	"colorbars/internal/telemetry"
 )
 
-// This file is the vectorized per-frame front end: the frame is
-// reduced to flat row-mean planes, converted to Lab planes in one pass
-// through the colorspace LUTs, segmented with squared CIE76 distances,
-// and planned into a pooled Analysis — all on recycled scratch, so a
-// steady-state Analyze call performs no heap allocation.
+// This file is the receiver's per-frame front end (paper §7, Steps
+// 1–2): the frame is reduced to flat row-mean Lab planes (one packed
+// row sum plus one tabulated Lab conversion per row), segmented with
+// squared CIE76 distances, and planned into a pooled Analysis — all on
+// recycled scratch, so a steady-state Analyze call performs no heap
+// allocation.
 //
-// The scalar implementation in strip.go is kept verbatim as the
-// reference decoder. The two front ends make identical threshold
-// decisions by construction (squared-distance compares are monotone
-// in the distances they replace); the only numeric difference is the
+// The scalar reference front end (exact RowMean and LinearRGBToLab,
+// plain distances, a full sort for the OFF threshold) lives in
+// reference_test.go as a test oracle. The two make identical threshold
+// decisions by construction (squared-distance compares are monotone in
+// the distances they replace); the numeric differences are the
 // tabulated Lab conversion, whose error (≤ colorspace.LUTMaxDeltaE2000)
-// sits orders of magnitude below the modem's decision margins. The
-// differential golden-frame harness (golden_test.go) pins the
-// symbol-for-symbol agreement of the two paths end to end.
+// sits orders of magnitude below the modem's decision margins, and the
+// row sum's association order. The differential golden-frame harness
+// (golden_test.go) pins the symbol-for-symbol agreement of the two end
+// to end.
 
 // boundaryThetaSq is the segmentation threshold squared, compared
 // against squared windowed differences.
@@ -32,8 +34,7 @@ const boundaryThetaSq = boundaryTheta * boundaryTheta
 // One scratch serves one frame at a time; concurrent Analyze calls
 // each take their own from the pool.
 type frameScratch struct {
-	r, g, b  []float64 // row-mean linear RGB planes
-	l, a, bb []float64 // Lab planes
+	l, a, bb []float64 // row-mean Lab planes
 	diff     []float64 // squared windowed color difference per row
 	sel      []float64 // quickselect scratch (lightness copy)
 	sel2     []float64 // second selection bucket (orderStat2)
@@ -60,9 +61,6 @@ func (s *frameScratch) resize(rows int) {
 			*p = (*p)[:rows]
 		}
 	}
-	grow(&s.r)
-	grow(&s.g)
-	grow(&s.b)
 	grow(&s.l)
 	grow(&s.a)
 	grow(&s.bb)
@@ -74,76 +72,48 @@ func (s *frameScratch) resize(rows int) {
 	s.bands = s.bands[:0]
 }
 
-// extractPlanes fills the row-mean and Lab planes from the frame. The
-// per-row mean is accumulated per channel in pixel order and scaled by
-// the same reciprocal the scalar camera.Frame.RowMean applies, so the
-// linear RGB means are bit-identical to the reference path; only the
-// Lab conversion (LUT vs exact) differs.
+// extractPlanes fills the Lab planes with each row's mean color. A
+// row's channel sums are sumPix12 over its whole 4-pixel groups (the
+// SSE2 kernel on amd64, the portable 12-lane fold elsewhere, in the
+// same association order) plus a left-to-right fold of the last
+// Cols%4 pixels, so the planes are bit-identical on every
+// architecture. Each row converts to Lab right after its sum: the sum
+// streams cold pixels from DRAM while the conversion is pure
+// arithmetic on the row just summed, so out-of-order execution hides
+// the conversion under the stream's cache-miss stalls.
 func (s *frameScratch) extractPlanes(f *camera.Frame) {
 	inv := 1 / float64(f.Cols)
-	if haveSIMDRowSum && f.Rows > 0 && f.Cols >= 4 && f.Cols%4 == 0 {
-		// Interleave the packed row sum with the LUT Lab conversion
-		// row by row. The sum streams cold pixels from DRAM while the
-		// conversion is pure arithmetic on the row just summed, so
-		// out-of-order execution hides the conversion under the
-		// stream's cache-miss stalls — measurably faster than the
-		// kernel pass followed by a whole-plane conversion pass, with
-		// bit-identical results (same per-row operations).
-		groups := f.Cols / 4
-		for r := 0; r < f.Rows; r++ {
-			sr, sg, sb := sumPix12(&f.Pix[r*f.Cols], groups)
-			lab := colorspace.LinearRGBToLabFast(colorspace.RGB{R: sr * inv, G: sg * inv, B: sb * inv})
-			s.r[r], s.g[r], s.b[r] = sr*inv, sg*inv, sb*inv
-			s.l[r], s.a[r], s.bb[r] = lab.L, lab.A, lab.B
-		}
-		return
-	}
+	groups := f.Cols / 4
 	for r := 0; r < f.Rows; r++ {
 		row := f.Pix[r*f.Cols : (r+1)*f.Cols]
-		// Four independent accumulator sets break the serial float-add
-		// dependency chain (the row sum is latency-bound otherwise).
-		// Re-associating the sum changes low-order bits relative to the
-		// reference path's strict left-to-right fold, so equality with
-		// the reference is asserted at symbol level (classification);
-		// the differential harness compares AB within epsilon.
-		var sr0, sg0, sb0, sr1, sg1, sb1 float64
-		var sr2, sg2, sb2, sr3, sg3, sb3 float64
-		i := 0
-		for ; i+3 < len(row); i += 4 {
-			sr0 += row[i].R
-			sg0 += row[i].G
-			sb0 += row[i].B
-			sr1 += row[i+1].R
-			sg1 += row[i+1].G
-			sb1 += row[i+1].B
-			sr2 += row[i+2].R
-			sg2 += row[i+2].G
-			sb2 += row[i+2].B
-			sr3 += row[i+3].R
-			sg3 += row[i+3].G
-			sb3 += row[i+3].B
+		var sr, sg, sb float64
+		if groups > 0 {
+			sr, sg, sb = sumPix12(&row[0], groups)
 		}
-		for ; i < len(row); i++ {
-			sr0 += row[i].R
-			sg0 += row[i].G
-			sb0 += row[i].B
+		for _, p := range row[groups*4:] {
+			sr += p.R
+			sg += p.G
+			sb += p.B
 		}
-		s.r[r] = (sr0 + sr1 + sr2 + sr3) * inv
-		s.g[r] = (sg0 + sg1 + sg2 + sg3) * inv
-		s.b[r] = (sb0 + sb1 + sb2 + sb3) * inv
+		lab := colorspace.LinearRGBToLabFast(colorspace.RGB{R: sr * inv, G: sg * inv, B: sb * inv})
+		s.l[r], s.a[r], s.bb[r] = lab.L, lab.A, lab.B
 	}
-	colorspace.LinearPlanesToLab(s.l, s.a, s.bb, s.r, s.g, s.b)
 }
 
-// segment is the columnar counterpart of segmentBands: same windowed
-// local-maxima boundary detection and same merge rule, with every
-// distance compare done on squared CIE76 values. The returned bands
-// live in the scratch and are invalidated by the next use.
+// segment splits the Lab planes at color discontinuities. rowsPerSym
+// is the expected band width (symbol period / row time); smearRows is
+// the width of the exposure smear (exposure time / row time), which
+// spreads each transition over several rows. Every distance compare is
+// on squared CIE76 values. The returned bands live in the scratch and
+// are invalidated by the next use.
 func (s *frameScratch) segment(rowsPerSym, smearRows float64) []band {
 	n := len(s.l)
 	if n == 0 {
 		return s.bands[:0]
 	}
+	// Windowed color difference: compare rows half a smear apart so a
+	// transition's full amplitude shows up even when the per-row
+	// change is small. h ≥ 1.
 	h := int(smearRows/2 + 1)
 	diff := s.diff
 	l, a, bb := s.l, s.a, s.bb
@@ -160,6 +130,8 @@ func (s *frameScratch) segment(rowsPerSym, smearRows float64) []band {
 	if minSpacing < 1 {
 		minSpacing = 1
 	}
+	// Boundaries are local maxima of the windowed difference above the
+	// threshold, greedily separated by minSpacing.
 	cuts := s.cuts[:0]
 	lastCut := -minSpacing
 	for i := 1; i+1 < n; i++ {
@@ -186,7 +158,8 @@ func (s *frameScratch) segment(rowsPerSym, smearRows float64) []band {
 	return s.bands
 }
 
-// bandColor mirrors the scalar bandColor over the Lab planes.
+// bandColor averages the band's central rows, keeping clear of the
+// exposure smear at each edge (at least one row is always kept).
 func (s *frameScratch) bandColor(b band, smearRows float64) colorspace.Lab {
 	w := b.width()
 	trim := int(math.Max(float64(w)*0.3, smearRows*0.75))
@@ -205,9 +178,12 @@ func (s *frameScratch) bandColor(b band, smearRows float64) colorspace.Lab {
 	return colorspace.Lab{L: sl / n, A: sa / n, B: sb / n}
 }
 
-// mergeSimilarBandsSq is mergeSimilarBands with the adjacency compare
-// done on squared full-Lab distance — the same decision for the same
-// band colors.
+// mergeSimilarBandsSq coalesces adjacent bands whose mean colors sit
+// closer than the boundary threshold (compared squared, in full Lab):
+// such cuts were spurious (noise can exceed the per-row threshold
+// inside dark bands, where the Lab transform amplifies chroma jitter).
+// Runs of identical transmitted symbols deliberately re-merge here and
+// are split again by band width in planInto.
 func mergeSimilarBandsSq(bands []band) []band {
 	if len(bands) < 2 {
 		return bands
@@ -217,6 +193,7 @@ func mergeSimilarBandsSq(bands []band) []band {
 		prev := &out[len(out)-1]
 		dl, da, db := prev.lab.L-b.lab.L, prev.lab.A-b.lab.A, prev.lab.B-b.lab.B
 		if dl*dl+da*da+db*db < boundaryThetaSq {
+			// Width-weighted color merge.
 			wp, wb := float64(prev.width()), float64(b.width())
 			total := wp + wb
 			prev.lab = colorspace.Lab{
@@ -232,11 +209,16 @@ func mergeSimilarBandsSq(bands []band) []band {
 	return out
 }
 
-// offLevel computes the frame-adapted OFF threshold from the lightness
-// plane: the same two order statistics offLevelFor takes from a full
-// sort, obtained by quickselect on a scratch copy. The k-th order
-// statistic is unique as a value, so the result equals sorted[k]
-// exactly.
+// offLevel computes the frame-adapted OFF lightness threshold from the
+// lightness plane. Two effects make a fixed threshold misfire:
+// vignetting dims edge rows by a device-dependent factor, and ambient
+// light lifts the whole frame — under room lighting an "off" LED still
+// leaves the band at the ambient level, not at black. OFF symbols are
+// therefore detected relative to the frame's darkest bands: the
+// threshold sits a fraction of the dark-to-lit spread above the 5th
+// percentile of row lightness. The percentiles are exact order
+// statistics (orderStat2), equal to a full sort's. The plane must be
+// non-empty.
 func (s *frameScratch) offLevel() float64 {
 	n := len(s.l)
 	p5, p75 := s.orderStat2(n/20, n*3/4)
@@ -364,9 +346,9 @@ func selectKth(v []float64, k int) float64 {
 	return v[lo]
 }
 
-// analysisPool recycles Analysis values between frames. ProcessFrame
-// and ProcessAnalysis return each frame's Analysis here after the
-// symbols are emitted.
+// analysisPool recycles Analysis values between frames.
+// ProcessAnalysis returns each frame's Analysis here after the symbols
+// are emitted.
 var analysisPool = sync.Pool{New: func() any { return new(Analysis) }}
 
 func getAnalysis() *Analysis {
@@ -382,8 +364,10 @@ func recycleAnalysis(a *Analysis) {
 	}
 }
 
-// planInto is planBands writing into a pooled Analysis, with the
-// grid-fit cut buffer drawn from the frame scratch.
+// planInto snaps band boundaries to the fitted symbol grid and
+// records in a, per band, the color and symbol count, plus the
+// frame-adapted OFF threshold. Classification against the live
+// calibration references happens later, in classifier.emitSymbolsInto.
 func (s *frameScratch) planInto(a *Analysis, bands []band, rowsPerSym float64) {
 	if len(s.l) > 0 {
 		a.offLevel = s.offLevel()
@@ -392,6 +376,12 @@ func (s *frameScratch) planInto(a *Analysis, bands []band, rowsPerSym float64) {
 	if len(bands) == 0 {
 		return
 	}
+	// The transmitter's symbol clock projects onto the frame as a
+	// strictly periodic grid of period rowsPerSym. Fitting the grid
+	// phase to ALL detected band boundaries (circular mean of the cut
+	// residuals) and snapping every boundary to it makes each band's
+	// symbol count robust to individual boundary jitter — a single
+	// misplaced cut can no longer shift the rest of the stream.
 	fcuts := s.fcuts[:0]
 	for _, b := range bands[1:] {
 		fcuts = append(fcuts, float64(b.start))
@@ -404,6 +394,10 @@ func (s *frameScratch) planInto(a *Analysis, bands []band, rowsPerSym float64) {
 	for i, b := range bands {
 		count := snap(float64(b.end)) - snap(float64(b.start))
 		if count < 1 {
+			// A band squeezed below one grid cell: at the frame edges
+			// it is a partial symbol cut by the readout window (part
+			// of the gap loss); in the interior it is a real symbol
+			// displaced by boundary jitter.
 			if i == 0 || i == len(bands)-1 {
 				continue
 			}
@@ -411,44 +405,4 @@ func (s *frameScratch) planInto(a *Analysis, bands []band, rowsPerSym float64) {
 		}
 		a.bands = append(a.bands, plannedBand{lab: b.lab, count: count})
 	}
-}
-
-// analyzeFast runs the columnar front end on one frame under the given
-// parent span, producing a pooled Analysis.
-func (r *Receiver) analyzeFast(parent telemetry.Span, f *camera.Frame) *Analysis {
-	rowsPerSym := 1 / (r.cfg.SymbolRate * f.RowTime)
-	s := getScratch(f.Rows)
-
-	sp := parent.StartChild("rx.strip")
-	s.extractPlanes(f)
-	sp.End()
-
-	sp = parent.StartChild("rx.segment")
-	bands := s.segment(rowsPerSym, f.Exposure/f.RowTime)
-	sp.End()
-
-	a := getAnalysis()
-	s.planInto(a, bands, rowsPerSym)
-	putScratch(s)
-	return a
-}
-
-// analyzeReference runs the scalar reference front end (strip.go)
-// under the given parent span. It is selected by the refFrontEnd
-// switch, which only the differential test harness flips.
-func (r *Receiver) analyzeReference(parent telemetry.Span, f *camera.Frame) *Analysis {
-	rowsPerSym := 1 / (r.cfg.SymbolRate * f.RowTime)
-
-	sp := parent.StartChild("rx.strip")
-	strip := getStrip(f.Rows)
-	extractStripInto(*strip, f)
-	sp.End()
-
-	sp = parent.StartChild("rx.segment")
-	bands := segmentBands(*strip, rowsPerSym, f.Exposure/f.RowTime)
-	sp.End()
-
-	a := planBands(*strip, bands, rowsPerSym)
-	putStrip(strip)
-	return a
 }

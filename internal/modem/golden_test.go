@@ -108,8 +108,9 @@ func goldenFrames(t testing.TB, sc goldenScenario) (*linkUnderTest, []*camera.Fr
 }
 
 // goldenDecode replays frames through a fresh receiver for the
-// scenario, tapping every frame's classified symbols. reference
-// selects the scalar front end.
+// scenario, recording every frame's classified symbols. reference
+// selects the scalar front end (reference_test.go) in place of
+// Receiver.Analyze; both feed the same ProcessAnalysis.
 func goldenDecode(t testing.TB, sc goldenScenario, l *linkUnderTest, frames []*camera.Frame, reference bool) ([][]packet.RxSymbol, []Block) {
 	t.Helper()
 	rx, err := NewReceiver(RxConfig{
@@ -121,14 +122,21 @@ func goldenDecode(t testing.TB, sc goldenScenario, l *linkUnderTest, frames []*c
 	if err != nil {
 		t.Fatal(err)
 	}
-	rx.refFrontEnd = reference
 	var symbols [][]packet.RxSymbol
-	rx.symTap = func(syms []packet.RxSymbol) {
-		symbols = append(symbols, append([]packet.RxSymbol(nil), syms...))
-	}
 	var blocks []Block
 	for _, f := range frames {
-		blocks = append(blocks, rx.ProcessFrame(f)...)
+		var a *Analysis
+		if reference {
+			a = analyzeReference(rx, f)
+		} else {
+			a = rx.Analyze(f)
+		}
+		// Classification depends only on the analysis and the
+		// references, and the references change only inside
+		// ProcessAnalysis's packet loop, so these are exactly the
+		// symbols ProcessAnalysis deframes.
+		symbols = append(symbols, rx.cls.emitSymbolsInto(nil, a))
+		blocks = append(blocks, rx.ProcessAnalysis(a)...)
 	}
 	blocks = append(blocks, rx.Flush()...)
 	return symbols, blocks

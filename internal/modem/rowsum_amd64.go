@@ -8,10 +8,6 @@ import (
 	"colorbars/internal/colorspace"
 )
 
-// haveSIMDRowSum selects the packed-double row-sum kernel in
-// extractPlanes when the row width permits (a multiple of 4 pixels).
-const haveSIMDRowSum = true
-
 // The kernel indexes raw struct memory, so the colorspace.RGB layout
 // it assumes — three consecutive float64 fields R, G, B — is pinned
 // at compile time.
@@ -23,16 +19,10 @@ var (
 )
 
 // sumPix12 sums the R, G and B channels of groups*4 consecutive
-// pixels starting at p. Packed adds re-associate the reduction, so
-// low-order bits can differ from a strict left-to-right scalar fold;
-// callers assert agreement with the reference path at symbol level.
+// pixels starting at p. The packed adds re-associate the reduction
+// exactly as rowsum_generic.go's twelve-lane fold does, so the two are
+// bit-identical; both can differ in low-order bits from a strict
+// left-to-right fold.
 //
 //go:noescape
 func sumPix12(p *colorspace.RGB, groups int) (sr, sg, sb float64)
-
-// sumPixPlanes fills sr/sg/sb (one value per row) with the channel
-// sums of rows consecutive rows of groups*4 pixels each, streaming
-// the whole frame through the packed kernel in a single call.
-//
-//go:noescape
-func sumPixPlanes(p *colorspace.RGB, rows, groups int, scale float64, sr, sg, sb *float64)

@@ -66,80 +66,3 @@ done:
 	MOVSD X6, sg+24(FP)
 	MOVSD X1, sb+32(FP)
 	RET
-
-// func sumPixPlanes(p *colorspace.RGB, rows, groups int, scale float64, sr, sg, sb *float64)
-//
-// Whole-frame variant of sumPix12: rows are contiguous, so SI streams
-// straight through the frame while one fold per row lands in the
-// three output planes, pre-multiplied by scale (the caller's 1/cols).
-// Hoisting the row loop into assembly removes ~rows call/return round
-// trips per frame; PREFETCHT0 keeps the stream ahead of the loads
-// when the frame is cold (it always is — frames arrive from capture,
-// not from cache).
-TEXT ·sumPixPlanes(SB), NOSPLIT, $0-56
-	MOVQ  p+0(FP), SI
-	MOVQ  rows+8(FP), DX
-	MOVQ  groups+16(FP), BX
-	MOVSD scale+24(FP), X15
-	MOVQ  sr+32(FP), R8
-	MOVQ  sg+40(FP), R9
-	MOVQ  sb+48(FP), R10
-
-rowloop:
-	TESTQ DX, DX
-	JLE   planesdone
-	XORPS X0, X0
-	XORPS X1, X1
-	XORPS X2, X2
-	XORPS X3, X3
-	XORPS X4, X4
-	XORPS X5, X5
-	MOVQ  BX, CX
-
-grouploop:
-	TESTQ CX, CX
-	JLE   rowdone
-	PREFETCHT0 384(SI)
-	MOVUPD     0(SI), X8
-	MOVUPD     16(SI), X9
-	MOVUPD     32(SI), X10
-	MOVUPD     48(SI), X11
-	MOVUPD     64(SI), X12
-	MOVUPD     80(SI), X13
-	ADDPD      X8, X0
-	ADDPD      X9, X1
-	ADDPD      X10, X2
-	ADDPD      X11, X3
-	ADDPD      X12, X4
-	ADDPD      X13, X5
-	ADDQ       $96, SI
-	DECQ       CX
-	JMP        grouploop
-
-rowdone:
-	ADDPD    X3, X0
-	ADDPD    X4, X1
-	ADDPD    X5, X2
-	MOVAPD   X0, X6
-	UNPCKHPD X6, X6
-	MOVAPD   X1, X7
-	UNPCKHPD X7, X7
-	MOVAPD   X2, X8
-	UNPCKHPD X8, X8
-	ADDSD    X7, X0
-	ADDSD    X2, X6
-	ADDSD    X8, X1
-	MULSD    X15, X0
-	MULSD    X15, X6
-	MULSD    X15, X1
-	MOVSD    X0, (R8)
-	MOVSD    X6, (R9)
-	MOVSD    X1, (R10)
-	ADDQ     $8, R8
-	ADDQ     $8, R9
-	ADDQ     $8, R10
-	DECQ     DX
-	JMP      rowloop
-
-planesdone:
-	RET

@@ -8,10 +8,6 @@ import (
 	"colorbars/internal/colorspace"
 )
 
-// haveSIMDRowSum gates the packed row-sum kernel; without it
-// extractPlanes keeps its unrolled scalar loop.
-const haveSIMDRowSum = false
-
 // sumPix12 is the portable counterpart of the amd64 kernel: channel
 // sums over groups*4 consecutive pixels. Twelve lane accumulators
 // reproduce the packed registers' association order exactly, so the
@@ -28,17 +24,4 @@ func sumPix12(p *colorspace.RGB, groups int) (sr, sg, sb float64) {
 	sg = (l[1] + l[7]) + (l[4] + l[10])
 	sb = (l[2] + l[8]) + (l[5] + l[11])
 	return sr, sg, sb
-}
-
-// sumPixPlanes is the portable whole-frame row-sum: one sumPix12 per
-// row into the output planes.
-func sumPixPlanes(p *colorspace.RGB, rows, groups int, scale float64, sr, sg, sb *float64) {
-	px := unsafe.Slice(p, rows*groups*4)
-	r := unsafe.Slice(sr, rows)
-	g := unsafe.Slice(sg, rows)
-	b := unsafe.Slice(sb, rows)
-	for i := 0; i < rows; i++ {
-		rr, gg, bb := sumPix12(&px[i*groups*4], groups)
-		r[i], g[i], b[i] = rr*scale, gg*scale, bb*scale
-	}
 }

@@ -6,12 +6,38 @@ import (
 	"sort"
 	"testing"
 
+	"colorbars/internal/camera"
 	"colorbars/internal/colorspace"
 )
 
-// TestSumPix12MatchesScalar pins the packed row-sum kernel against a
-// plain left-to-right fold: channel sums must agree to within
-// re-association rounding for random pixel data at several widths.
+// laneSum is the row sum extractPlanes must reproduce bit for bit on
+// every architecture: twelve lanes over the whole 4-pixel groups,
+// folded pairwise as the SSE2 kernel folds its registers, then the
+// Cols%4 tail left to right.
+func laneSum(row []colorspace.RGB) (sr, sg, sb float64) {
+	var l [12]float64
+	n := len(row) / 4 * 4
+	for i := 0; i < n; i += 4 {
+		for k := 0; k < 4; k++ {
+			l[3*k] += row[i+k].R
+			l[3*k+1] += row[i+k].G
+			l[3*k+2] += row[i+k].B
+		}
+	}
+	sr = (l[0] + l[6]) + (l[3] + l[9])
+	sg = (l[1] + l[7]) + (l[4] + l[10])
+	sb = (l[2] + l[8]) + (l[5] + l[11])
+	for _, p := range row[n:] {
+		sr += p.R
+		sg += p.G
+		sb += p.B
+	}
+	return sr, sg, sb
+}
+
+// TestSumPix12MatchesScalar pins the row-sum kernel bit for bit
+// against laneSum's scalar twelve-lane fold for random pixel data at
+// several widths.
 func TestSumPix12MatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for _, cols := range []int{4, 8, 24, 96, 400} {
@@ -24,21 +50,42 @@ func TestSumPix12MatchesScalar(t *testing.T) {
 					B: rng.Float64() * 255,
 				}
 			}
-			var wr, wg, wb float64
-			for _, p := range px {
-				wr += p.R
-				wg += p.G
-				wb += p.B
-			}
+			wr, wg, wb := laneSum(px)
 			gr, gg, gb := sumPix12(&px[0], cols/4)
-			const tol = 1e-9
-			if math.Abs(gr-wr) > tol*math.Max(1, wr) ||
-				math.Abs(gg-wg) > tol*math.Max(1, wg) ||
-				math.Abs(gb-wb) > tol*math.Max(1, wb) {
-				t.Fatalf("cols=%d trial=%d: kernel (%g,%g,%g) vs scalar (%g,%g,%g)",
+			if gr != wr || gg != wg || gb != wb {
+				t.Fatalf("cols=%d trial=%d: kernel (%v,%v,%v) vs fold (%v,%v,%v)",
 					cols, trial, gr, gg, gb, wr, wg, wb)
 			}
 		}
+	}
+}
+
+// TestExtractPlanesBitExact pins extractPlanes' Lab planes bit for bit
+// against the LUT conversion of laneSum's row means, on a seeded
+// synthetic frame at the built-in profiles' widths (24 and 8) and at
+// a width with a Cols%4 tail (7). The planes then cannot depend on the
+// architecture: the amd64 kernel and the portable fold both match
+// laneSum.
+func TestExtractPlanesBitExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	const rows = 64
+	for _, cols := range []int{24, 8, 7} {
+		f := &camera.Frame{Rows: rows, Cols: cols, Pix: make([]colorspace.RGB, rows*cols)}
+		for i := range f.Pix {
+			f.Pix[i] = colorspace.RGB{R: rng.Float64(), G: rng.Float64(), B: rng.Float64()}
+		}
+		s := getScratch(rows)
+		s.extractPlanes(f)
+		inv := 1 / float64(cols)
+		for r := 0; r < rows; r++ {
+			sr, sg, sb := laneSum(f.Pix[r*cols : (r+1)*cols])
+			want := colorspace.LinearRGBToLabFast(colorspace.RGB{R: sr * inv, G: sg * inv, B: sb * inv})
+			if s.l[r] != want.L || s.a[r] != want.A || s.bb[r] != want.B {
+				t.Fatalf("cols=%d row %d: planes (%v, %v, %v), want (%v, %v, %v)",
+					cols, r, s.l[r], s.a[r], s.bb[r], want.L, want.A, want.B)
+			}
+		}
+		putScratch(s)
 	}
 }
 
@@ -92,30 +139,6 @@ func TestOrderStatExact(t *testing.T) {
 				}
 			}
 			putScratch(s)
-		}
-	}
-}
-
-// TestSumPixPlanesMatchesPerRow pins the whole-frame kernel against
-// per-row sumPix12 calls bit-for-bit.
-func TestSumPixPlanesMatchesPerRow(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	for _, dim := range []struct{ rows, cols int }{{1, 4}, {3, 8}, {17, 24}, {100, 4}} {
-		px := make([]colorspace.RGB, dim.rows*dim.cols)
-		for i := range px {
-			px[i] = colorspace.RGB{R: rng.Float64(), G: rng.Float64(), B: rng.Float64()}
-		}
-		r := make([]float64, dim.rows)
-		g := make([]float64, dim.rows)
-		b := make([]float64, dim.rows)
-		sumPixPlanes(&px[0], dim.rows, dim.cols/4, 0.5, &r[0], &g[0], &b[0])
-		for i := 0; i < dim.rows; i++ {
-			wr, wg, wb := sumPix12(&px[i*dim.cols], dim.cols/4)
-			wr, wg, wb = wr*0.5, wg*0.5, wb*0.5
-			if r[i] != wr || g[i] != wg || b[i] != wb {
-				t.Fatalf("%dx%d row %d: planes (%v,%v,%v) vs per-row (%v,%v,%v)",
-					dim.rows, dim.cols, i, r[i], g[i], b[i], wr, wg, wb)
-			}
 		}
 	}
 }

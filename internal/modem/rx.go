@@ -304,9 +304,8 @@ type Receiver struct {
 	seenDiscards int
 
 	// Self-heal state machine (see DESIGN.md §10). All fields are
-	// mutated only on the sequential tail path (finishSymbols /
-	// handlePacket), so ProcessFrame and Analyze+ProcessAnalysis stay
-	// byte-identical and the pipeline needs no extra locking.
+	// mutated only on the sequential tail (ProcessAnalysis /
+	// handlePacket), so the pipeline needs no extra locking.
 	heal struct {
 		cfg            SelfHealConfig // thresholds, defaults resolved
 		collapseStreak int            // consecutive discard-only frames
@@ -317,15 +316,6 @@ type Receiver struct {
 	}
 	distGauge *telemetry.Gauge // rx.classify_distance
 	syncGauge *telemetry.Gauge // rx.sync_state (0 locked, 1 degraded)
-
-	// refFrontEnd routes frames through the scalar reference front end
-	// (strip.go) instead of the columnar one. Only the differential
-	// test harness flips it; both paths feed the identical back half.
-	refFrontEnd bool
-	// symTap, when set, observes each frame's classified symbols before
-	// deframing. The slice is scratch, valid only during the call.
-	// Test-only instrumentation.
-	symTap func([]packet.RxSymbol)
 
 	// Pooled per-frame buffers: classified symbols, the deframer feed
 	// (gap marker + symbols), parsed packets, and margins. Reused every
@@ -724,37 +714,20 @@ func (r *Receiver) SetOperatingPoint(p OperatingPoint) ([]Block, error) {
 // receiver inserts the inter-frame gap marker between consecutive
 // frames automatically.
 //
-// Each stage runs under a telemetry span (rx.strip → rx.segment →
-// rx.classify → rx.deframe → rx.decode, all children of rx.frame), so
-// an attached registry records where each frame's processing time —
-// and each lost packet — went.
-//
-// ProcessFrame is equivalent, block for block, to Analyze followed by
-// ProcessAnalysis; internal/pipeline uses that split to run the
-// front-end stages concurrently.
+// It is Analyze followed by ProcessAnalysis, so every path — serial,
+// the internal/pipeline worker pool, the ingest service — records the
+// same span tree: rx.analyze (children rx.strip, rx.segment), then
+// rx.frame (children rx.classify, rx.deframe, rx.decode). An attached
+// registry thereby records where each frame's processing time — and
+// each lost packet — went.
 func (r *Receiver) ProcessFrame(f *camera.Frame) []Block {
-	frame := r.tel.StartSpan("rx.frame")
-	defer frame.End()
-	r.c.frames.Inc()
-
-	var a *Analysis
-	if r.refFrontEnd {
-		a = r.analyzeReference(frame, f)
-	} else {
-		a = r.analyzeFast(frame, f)
-	}
-
-	sp := frame.StartChild("rx.classify")
-	r.symBuf = r.cls.emitSymbolsInto(r.symBuf[:0], a)
-	sp.End()
-	recycleAnalysis(a)
-
-	return r.finishSymbols(r.symBuf, frame)
+	return r.ProcessAnalysis(r.Analyze(f))
 }
 
 // Analyze runs the CPU-heavy, receiver-state-independent front end on
-// one frame: strip extraction, band segmentation, symbol-grid fitting
-// and the OFF-threshold fit. It reads only the immutable link
+// one frame (paper §7, Steps 1–2): row-mean Lab planes, band
+// segmentation, symbol-grid fitting and the OFF-threshold fit, all on
+// pooled scratch (columnar.go). It reads only the immutable link
 // configuration, so it is safe to call concurrently from multiple
 // goroutines on the same Receiver — this is the stage
 // internal/pipeline fans out to a worker pool. Stage timings land in
@@ -763,19 +736,29 @@ func (r *Receiver) ProcessFrame(f *camera.Frame) []Block {
 func (r *Receiver) Analyze(f *camera.Frame) *Analysis {
 	parent := r.tel.StartSpan("rx.analyze")
 	defer parent.End()
-	if r.refFrontEnd {
-		return r.analyzeReference(parent, f)
-	}
-	return r.analyzeFast(parent, f)
+	rowsPerSym := 1 / (r.cfg.SymbolRate * f.RowTime)
+	s := getScratch(f.Rows)
+
+	sp := parent.StartChild("rx.strip")
+	s.extractPlanes(f)
+	sp.End()
+
+	sp = parent.StartChild("rx.segment")
+	bands := s.segment(rowsPerSym, f.Exposure/f.RowTime)
+	sp.End()
+
+	a := getAnalysis()
+	s.planInto(a, bands, rowsPerSym)
+	putScratch(s)
+	return a
 }
 
 // ProcessAnalysis completes the processing of an analyzed frame:
 // classification against the current (calibration-updated) references,
-// deframing and RS decoding. Analyses must be fed in capture order
-// from a single goroutine — these stages mutate receiver state
-// (references, deframer buffer) and are inherently sequential. For any
-// frame sequence, Analyze + ProcessAnalysis yields exactly the blocks
-// ProcessFrame yields.
+// symbol accounting, deframing and packet handling. Analyses must be
+// fed in capture order from a single goroutine — these stages mutate
+// receiver state (references, deframer buffer) and are inherently
+// sequential.
 //
 // The Analysis is recycled into the analysis pool on return; the
 // caller must not use it afterwards.
@@ -788,14 +771,8 @@ func (r *Receiver) ProcessAnalysis(a *Analysis) []Block {
 	r.symBuf = r.cls.emitSymbolsInto(r.symBuf[:0], a)
 	sp.End()
 	recycleAnalysis(a)
+	syms := r.symBuf
 
-	return r.finishSymbols(r.symBuf, frame)
-}
-
-// finishSymbols runs the sequential back half of frame processing —
-// symbol accounting, deframing, packet handling — shared by
-// ProcessFrame and ProcessAnalysis.
-func (r *Receiver) finishSymbols(syms []packet.RxSymbol, frame telemetry.Span) []Block {
 	r.c.symbolsIn.Add(int64(len(syms)))
 	var nData, nWhite, nOff int64
 	for _, s := range syms {
@@ -811,9 +788,6 @@ func (r *Receiver) finishSymbols(syms []packet.RxSymbol, frame telemetry.Span) [
 	r.c.symbolsData.Add(nData)
 	r.c.symbolsWhite.Add(nWhite)
 	r.c.symbolsOff.Add(nOff)
-	if r.symTap != nil {
-		r.symTap(syms)
-	}
 
 	feed := r.feedBuf[:0]
 	if r.started {
@@ -823,7 +797,7 @@ func (r *Receiver) finishSymbols(syms []packet.RxSymbol, frame telemetry.Span) [
 	feed = append(feed, syms...)
 	r.feedBuf = feed
 
-	sp := frame.StartChild("rx.deframe")
+	sp = frame.StartChild("rx.deframe")
 	r.pktBuf = r.deframer.PushInto(feed, r.pktBuf[:0])
 	pkts := r.pktBuf
 	sp.End()
@@ -1556,7 +1530,7 @@ func (r *Receiver) putDataBuf(b []byte) {
 	}
 }
 
-// getBlockSlice pops a result slice for finishSymbols from the
+// getBlockSlice pops a result slice for ProcessAnalysis from the
 // free-list, or allocates one.
 func (r *Receiver) getBlockSlice() []Block {
 	if n := len(r.blockFree); n > 0 {

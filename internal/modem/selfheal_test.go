@@ -1,6 +1,7 @@
 package modem
 
 import (
+	"fmt"
 	"testing"
 
 	"colorbars/internal/cie"
@@ -12,8 +13,8 @@ import (
 
 // healLink builds a tx/rx pair wired directly at the symbol level (no
 // camera), with the receiver's self-heal thresholds under test
-// control. Symbols are delivered through pushFrame, which replays the
-// sequential tail of frame processing exactly as ProcessFrame does.
+// control. Symbols are delivered through pushFrame, which feeds them
+// to ProcessAnalysis, the sequential tail every frame goes through.
 func healLink(t *testing.T, heal SelfHealConfig) (*Transmitter, *Receiver) {
 	t.Helper()
 	params := coding.Params{
@@ -52,12 +53,31 @@ func healLink(t *testing.T, heal SelfHealConfig) (*Transmitter, *Receiver) {
 	return tx, rx
 }
 
-// pushFrame feeds one frame's worth of symbols through the receiver's
-// sequential tail (the same code path ProcessFrame ends in).
+// pushFrame feeds one frame's worth of symbols through ProcessAnalysis
+// as a planned frame of one-symbol bands whose colors classify back to
+// exactly those symbols: OFF is black, white is lit and achromatic,
+// and data is lit at its own a,b. The white radius shrinks to a hair
+// for the call, so a low-chroma data symbol (garbageFrame's) stays
+// data; a symbol that would still not round-trip panics.
 func pushFrame(r *Receiver, syms []packet.RxSymbol) []Block {
-	sp := r.tel.StartSpan("test.frame")
-	defer sp.End()
-	return r.finishSymbols(syms, sp)
+	margin := r.cls.whiteMargin
+	r.cls.whiteMargin = 1e-6
+	defer func() { r.cls.whiteMargin = margin }()
+	a := getAnalysis()
+	for i, s := range syms {
+		lab := colorspace.Lab{L: 100}
+		switch s.Kind {
+		case packet.KindOff:
+			lab.L = 0
+		case packet.KindData:
+			lab.A, lab.B = s.AB.A, s.AB.B
+		}
+		if got := r.cls.classify(lab); got != s {
+			panic(fmt.Sprintf("pushFrame: symbol %d %+v classifies as %+v", i, s, got))
+		}
+		a.bands = append(a.bands, plannedBand{lab: lab, count: 1})
+	}
+	return r.ProcessAnalysis(a)
 }
 
 // rxFromTx converts transmitted symbols into ideal received symbols:

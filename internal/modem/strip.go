@@ -2,74 +2,15 @@ package modem
 
 import (
 	"math"
-	"sort"
-	"sync"
 
-	"colorbars/internal/camera"
 	"colorbars/internal/colorspace"
 	"colorbars/internal/packet"
 )
 
-// This file implements the receiver's image-processing front end
-// (paper §7, Steps 1–2): reduce each frame to a 1-D strip of CIELab
-// row colors, segment the strip into color bands, and classify each
-// band into OFF / white / data symbols.
-
-// stripRow is one scanline reduced to its mean CIELab color.
-type stripRow struct {
-	lab colorspace.Lab
-}
-
-// stripPool recycles strip buffers across frames. The strip is pure
-// scratch — everything downstream copies what it needs into bands and
-// plans — so pooling it keeps concurrent Analyze calls from allocating
-// one Rows-sized slice per frame without sharing any state.
-var stripPool = sync.Pool{New: func() any { return new([]stripRow) }}
-
-func getStrip(n int) *[]stripRow {
-	p := stripPool.Get().(*[]stripRow)
-	if cap(*p) < n {
-		*p = make([]stripRow, n)
-	} else {
-		*p = (*p)[:n]
-	}
-	return p
-}
-
-func putStrip(p *[]stripRow) { stripPool.Put(p) }
-
-// floatPool recycles the per-frame float scratch used by segmentation
-// (windowed differences) and the OFF-threshold fit (sorted lightness).
-var floatPool = sync.Pool{New: func() any { return new([]float64) }}
-
-func getFloats(n int) *[]float64 {
-	p := floatPool.Get().(*[]float64)
-	if cap(*p) < n {
-		*p = make([]float64, n)
-	} else {
-		*p = (*p)[:n]
-	}
-	return p
-}
-
-func putFloats(p *[]float64) { floatPool.Put(p) }
-
-// extractStrip converts a frame to its 1-D CIELab strip: each row's
-// pixels are averaged (the paper's dimension reduction) and the mean
-// is converted to Lab.
-func extractStrip(f *camera.Frame) []stripRow {
-	rows := make([]stripRow, f.Rows)
-	extractStripInto(rows, f)
-	return rows
-}
-
-// extractStripInto fills dst (len f.Rows) with the frame's strip.
-func extractStripInto(dst []stripRow, f *camera.Frame) {
-	for r := 0; r < f.Rows; r++ {
-		mean := f.RowMean(r)
-		dst[r] = stripRow{lab: colorspace.LinearRGBToLab(mean)}
-	}
-}
+// This file holds the front end's data model — bands, the per-frame
+// Analysis and its planned bands — and the classifier that turns band
+// colors into OFF / white / data symbols (paper §7, Step 2). The
+// frame-to-bands stages live in columnar.go.
 
 // band is a run of rows judged to show a single transmitted symbol
 // (or several identical ones).
@@ -87,107 +28,6 @@ func (b band) width() int { return b.end - b.start }
 // one band — the inter-symbol-interference failure mode the paper
 // observes for high CSK orders at high symbol rates.
 const boundaryTheta = 8.0
-
-// segmentBands splits the strip at color discontinuities. rowsPerSym
-// is the expected band width (symbol period / row time); smearRows is
-// the width of the exposure smear (exposure time / row time), which
-// spreads each transition over several rows. Band colors are taken
-// from rows clear of the smeared edges.
-func segmentBands(strip []stripRow, rowsPerSym, smearRows float64) []band {
-	if len(strip) == 0 {
-		return nil
-	}
-	// Windowed color difference: compare rows half a smear apart so a
-	// transition's full amplitude shows up even when the per-row
-	// change is small. h ≥ 1.
-	h := int(smearRows/2 + 1)
-	diffBuf := getFloats(len(strip))
-	defer putFloats(diffBuf)
-	diff := *diffBuf
-	for i := range strip {
-		lo, hi := i-h, i+h
-		if lo < 0 || hi >= len(strip) {
-			diff[i] = 0
-			continue
-		}
-		diff[i] = colorspace.DeltaE(strip[lo].lab, strip[hi].lab)
-	}
-	minSpacing := int(rowsPerSym / 2)
-	if minSpacing < 1 {
-		minSpacing = 1
-	}
-	// Boundaries are local maxima of the windowed difference above the
-	// threshold, greedily separated by minSpacing.
-	var cuts []int
-	lastCut := -minSpacing
-	for i := 1; i+1 < len(diff); i++ {
-		if diff[i] >= boundaryTheta && diff[i] >= diff[i-1] && diff[i] > diff[i+1] {
-			if i-lastCut >= minSpacing {
-				cuts = append(cuts, i)
-				lastCut = i
-			}
-		}
-	}
-	bounds := append([]int{0}, cuts...)
-	bounds = append(bounds, len(strip))
-	bands := make([]band, 0, len(bounds)-1)
-	for i := 0; i+1 < len(bounds); i++ {
-		b := band{start: bounds[i], end: bounds[i+1]}
-		b.lab = bandColor(strip, b, smearRows)
-		bands = append(bands, b)
-	}
-	return mergeSimilarBands(bands)
-}
-
-// mergeSimilarBands coalesces adjacent bands whose mean colors sit
-// closer than the boundary threshold: such cuts were spurious (noise
-// can exceed the per-row threshold inside dark bands, where the Lab
-// transform amplifies chroma jitter). Runs of identical transmitted
-// symbols deliberately re-merge here and are split again by band width
-// in frameSymbols.
-func mergeSimilarBands(bands []band) []band {
-	if len(bands) < 2 {
-		return bands
-	}
-	out := bands[:1]
-	for _, b := range bands[1:] {
-		prev := &out[len(out)-1]
-		if colorspace.DeltaE(prev.lab, b.lab) < boundaryTheta {
-			// Width-weighted color merge.
-			wp, wb := float64(prev.width()), float64(b.width())
-			total := wp + wb
-			prev.lab = colorspace.Lab{
-				L: (prev.lab.L*wp + b.lab.L*wb) / total,
-				A: (prev.lab.A*wp + b.lab.A*wb) / total,
-				B: (prev.lab.B*wp + b.lab.B*wb) / total,
-			}
-			prev.end = b.end
-			continue
-		}
-		out = append(out, b)
-	}
-	return out
-}
-
-// bandColor averages the band's central rows, keeping clear of the
-// exposure smear at each edge (at least one row is always kept).
-func bandColor(strip []stripRow, b band, smearRows float64) colorspace.Lab {
-	w := b.width()
-	trim := int(math.Max(float64(w)*0.3, smearRows*0.75))
-	lo, hi := b.start+trim, b.end-trim
-	if lo >= hi {
-		mid := (b.start + b.end) / 2
-		lo, hi = mid, mid+1
-	}
-	var sum colorspace.Lab
-	for r := lo; r < hi; r++ {
-		sum.L += strip[r].lab.L
-		sum.A += strip[r].lab.A
-		sum.B += strip[r].lab.B
-	}
-	n := float64(hi - lo)
-	return colorspace.Lab{L: sum.L / n, A: sum.A / n, B: sum.B / n}
-}
 
 // classifier turns band colors into symbol kinds.
 type classifier struct {
@@ -229,29 +69,6 @@ func newClassifier() *classifier {
 		whiteMargin: 10,
 		offChroma:   12,
 	}
-}
-
-// offLevelFor computes the frame-adapted OFF lightness threshold from
-// the strip's own statistics. Two effects make a fixed threshold
-// misfire: vignetting dims edge rows by a device-dependent factor, and
-// ambient light lifts the whole frame — under room lighting an "off"
-// LED still leaves the band at the ambient level, not at black. OFF
-// symbols are therefore detected *relative to the frame's darkest
-// bands*: the threshold sits a fraction of the dark-to-lit spread
-// above the 5th percentile of row lightness. The strip must be
-// non-empty.
-func offLevelFor(strip []stripRow) float64 {
-	lsBuf := getFloats(len(strip))
-	defer putFloats(lsBuf)
-	ls := *lsBuf
-	for i, r := range strip {
-		ls[i] = r.lab.L
-	}
-	sort.Float64s(ls)
-	p5 := ls[len(ls)/20]
-	p75 := ls[len(ls)*3/4]
-	spread := p75 - p5
-	return math.Max(8, p5+math.Max(5, 0.25*spread))
 }
 
 // setDataRefs installs the constellation colors used for
@@ -343,17 +160,6 @@ func (c *classifier) classify(lab colorspace.Lab) packet.RxSymbol {
 	return packet.RxSymbol{Kind: packet.KindData, AB: ab}
 }
 
-// frameSymbols runs the full front end on one frame: strip, segment,
-// split merged runs of identical symbols by the expected band width,
-// and classify. rowsPerSym must be > 0. Receiver.ProcessFrame runs
-// the same stages individually (so each gets its own telemetry span);
-// this wrapper is the uninstrumented path for tests and direct use.
-func frameSymbols(f *camera.Frame, rowsPerSym float64, cls *classifier) []packet.RxSymbol {
-	strip := extractStrip(f)
-	bands := segmentBands(strip, rowsPerSym, f.Exposure/f.RowTime)
-	return classifyBands(strip, bands, rowsPerSym, cls)
-}
-
 // Analysis is the receiver-state-independent part of one frame's
 // processing: the planned symbol bands (mean color plus grid-snapped
 // symbol count) and the frame-adapted OFF threshold. Everything in it
@@ -361,7 +167,7 @@ func frameSymbols(f *camera.Frame, rowsPerSym float64, cls *classifier) []packet
 // calibration state, no deframer state — which is what lets
 // Receiver.Analyze run concurrently across frames while
 // Receiver.ProcessAnalysis replays the results in strict capture
-// order with bit-identical output to the serial path.
+// order, with output independent of how the frames were analyzed.
 type Analysis struct {
 	offLevel    float64
 	hasOffLevel bool
@@ -375,62 +181,10 @@ type plannedBand struct {
 	count int
 }
 
-// planBands snaps band boundaries to the fitted symbol grid and
-// records, per band, the color and symbol count, plus the
-// frame-adapted OFF threshold. It is a pure function (safe for
-// concurrent use); classification against the live calibration
-// references happens later in classifier.emitSymbols.
-func planBands(strip []stripRow, bands []band, rowsPerSym float64) *Analysis {
-	a := &Analysis{}
-	if len(strip) > 0 {
-		a.offLevel = offLevelFor(strip)
-		a.hasOffLevel = true
-	}
-	if len(bands) == 0 {
-		return a
-	}
-	// The transmitter's symbol clock projects onto the frame as a
-	// strictly periodic grid of period rowsPerSym. Fitting the grid
-	// phase to ALL detected band boundaries (circular mean of the cut
-	// residuals) and snapping every boundary to it makes each band's
-	// symbol count robust to individual boundary jitter — a single
-	// misplaced cut can no longer shift the rest of the stream.
-	var cuts []float64
-	for _, b := range bands[1:] {
-		cuts = append(cuts, float64(b.start))
-	}
-	phase := fitGridPhase(cuts, rowsPerSym)
-	snap := func(x float64) int {
-		return int(math.Round((x - phase) / rowsPerSym))
-	}
-	a.bands = make([]plannedBand, 0, len(bands))
-	for i, b := range bands {
-		count := snap(float64(b.end)) - snap(float64(b.start))
-		if count < 1 {
-			// A band squeezed below one grid cell: at the frame edges
-			// it is a partial symbol cut by the readout window (part
-			// of the gap loss); in the interior it is a real symbol
-			// displaced by boundary jitter.
-			if i == 0 || i == len(bands)-1 {
-				continue
-			}
-			count = 1
-		}
-		a.bands = append(a.bands, plannedBand{lab: b.lab, count: count})
-	}
-	return a
-}
-
-// emitSymbols classifies a planned frame against the classifier's
-// current references. This is the only front-end step that depends on
-// mutable receiver state (calibrated data references), so it runs on
-// the sequential stage, in capture order.
-func (c *classifier) emitSymbols(a *Analysis) []packet.RxSymbol {
-	return c.emitSymbolsInto(nil, a)
-}
-
-// emitSymbolsInto is emitSymbols appending into a caller-owned buffer,
-// the allocation-free form the receiver's hot path uses.
+// emitSymbolsInto classifies a planned frame against the classifier's
+// current references, appending to dst. This is the only front-end
+// step that depends on mutable receiver state (calibrated data
+// references), so it runs on the sequential stage, in capture order.
 func (c *classifier) emitSymbolsInto(dst []packet.RxSymbol, a *Analysis) []packet.RxSymbol {
 	if a.hasOffLevel {
 		c.offLevel = a.offLevel
@@ -442,13 +196,6 @@ func (c *classifier) emitSymbolsInto(dst []packet.RxSymbol, a *Analysis) []packe
 		}
 	}
 	return dst
-}
-
-// classifyBands adapts the OFF threshold to the frame, snaps band
-// boundaries to the fitted symbol grid, and classifies each band into
-// a run of received symbols.
-func classifyBands(strip []stripRow, bands []band, rowsPerSym float64, cls *classifier) []packet.RxSymbol {
-	return cls.emitSymbols(planBands(strip, bands, rowsPerSym))
 }
 
 // fitGridPhase estimates the symbol grid's phase offset from the cut

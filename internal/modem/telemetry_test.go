@@ -51,7 +51,7 @@ func TestStatsMatchSnapshot(t *testing.T) {
 		}
 	}
 	// Every per-frame stage span must have fired once per frame.
-	for _, span := range []string{"rx.frame", "rx.strip", "rx.segment", "rx.classify", "rx.deframe", "rx.decode"} {
+	for _, span := range []string{"rx.analyze", "rx.strip", "rx.segment", "rx.frame", "rx.classify", "rx.deframe", "rx.decode"} {
 		h, ok := snap.Histograms[span]
 		if !ok || h.Count != int64(stats.Frames) {
 			t.Errorf("span %s observed %d times, want %d", span, h.Count, stats.Frames)

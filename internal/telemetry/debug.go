@@ -6,6 +6,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"os"
 	"sync"
 )
 
@@ -52,10 +53,10 @@ func lookupDebugHandler(path string) (http.Handler, bool) {
 	return h, ok
 }
 
-// PublishExpvar publishes the registry's snapshot as the named expvar
+// publishExpvar publishes the registry's snapshot as the named expvar
 // variable (visible at /debug/vars). Publishing the same name twice
 // is a no-op, so callers need not coordinate.
-func PublishExpvar(name string, r *Registry) {
+func publishExpvar(name string, r *Registry) {
 	if expvar.Get(name) != nil {
 		return
 	}
@@ -90,4 +91,57 @@ func ServeDebug(addr string) (net.Listener, error) {
 	srv := &http.Server{Handler: mux}
 	go srv.Serve(l)
 	return l, nil
+}
+
+// ServeTool sets up a command-line tool's process telemetry from its
+// -telemetry-addr and -trace flags; an empty string leaves that part
+// off. A trace path gets a JSONL sink on the process registry, which
+// sees every span and counter of the run (component registries are its
+// children). An address publishes the process registry as the
+// "colorbars" expvar and serves the debug endpoints there (ServeDebug).
+// The tool defers the returned stop, which closes the listener, detaches
+// and closes the trace, and returns the trace's first write or close
+// error for the tool to report like any other.
+func ServeTool(addr, tracePath string) (stop func() error, err error) {
+	var tf *os.File
+	var sink *JSONLSink
+	if tracePath != "" {
+		if tf, err = os.Create(tracePath); err != nil {
+			return nil, err
+		}
+		sink = NewJSONLSink(tf)
+		Process().SetSink(sink)
+	}
+	closeTrace := func() error {
+		if tf == nil {
+			return nil
+		}
+		Process().SetSink(nil)
+		err := sink.Err()
+		if cerr := tf.Close(); err == nil {
+			err = cerr
+		}
+		return err
+	}
+	var l net.Listener
+	if addr != "" {
+		publishExpvar("colorbars", Process())
+		if l, err = ServeDebug(addr); err != nil {
+			closeTrace() // the listen error is the one to report
+			return nil, err
+		}
+		fmt.Fprintf(os.Stderr, "telemetry: expvar and pprof on http://%s/debug/\n", l.Addr())
+	}
+	return func() error {
+		if l != nil {
+			l.Close()
+		}
+		if err := closeTrace(); err != nil {
+			return fmt.Errorf("trace: %w", err)
+		}
+		if tf != nil {
+			fmt.Fprintf(os.Stderr, "trace written to %s\n", tracePath)
+		}
+		return nil
+	}, nil
 }

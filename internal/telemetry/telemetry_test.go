@@ -8,6 +8,8 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -325,8 +327,8 @@ func TestJSONLSinkRoundTrip(t *testing.T) {
 func TestServeDebug(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("rx.frames").Inc()
-	PublishExpvar("telemetry_test", r)
-	PublishExpvar("telemetry_test", r) // second publish must not panic
+	publishExpvar("telemetry_test", r)
+	publishExpvar("telemetry_test", r) // second publish must not panic
 
 	l, err := ServeDebug("127.0.0.1:0")
 	if err != nil {
@@ -347,5 +349,47 @@ func TestServeDebug(t *testing.T) {
 		if path == "/debug/vars" && !strings.Contains(string(body), "telemetry_test") {
 			t.Errorf("expvar output missing published registry")
 		}
+	}
+}
+
+// TestServeTool covers the cmd tools' shared setup: the trace records
+// process-registry events until stop detaches it, the debug listener
+// serves until stop closes it, and a listen failure returns an error
+// without leaving the trace attached.
+func TestServeTool(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.jsonl")
+	stop, err := ServeTool("127.0.0.1:0", path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	Process().Counter("servetool.before").Inc()
+	if err := stop(); err != nil {
+		t.Fatal(err)
+	}
+	Process().Counter("servetool.after").Inc()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(raw, []byte(`"servetool.before"`)) || bytes.Contains(raw, []byte(`"servetool.after"`)) {
+		t.Errorf("trace holds %q, want only the event emitted before stop", raw)
+	}
+
+	stop, err = ServeTool("", "")
+	if err != nil || stop() != nil {
+		t.Fatalf("no-op setup: %v", err)
+	}
+
+	l, err := ServeDebug("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if _, err := ServeTool(l.Addr().String(), path); err == nil {
+		t.Fatal("ServeTool on a bound port succeeded")
+	}
+	Process().Counter("servetool.failed").Inc()
+	if raw, _ := os.ReadFile(path); bytes.Contains(raw, []byte(`"servetool.failed"`)) {
+		t.Error("trace still attached after a failed setup")
 	}
 }
