@@ -10,9 +10,10 @@ GO ?= go
 # the deterministic chaos soak, the adaptive-link chaos soak (the
 # closed-loop controller must beat every surviving fixed operating
 # point and regain the top rung on budget), a single-iteration pass
-# over the ProcessFrame, Capture and RS failure-path benchmarks (so
-# the telemetry-overhead path, the camera readout and the split
-# search's RS reject path compile and run), and
+# over the ProcessFrame, Capture, RS failure-path and split-search
+# benchmarks (so the telemetry-overhead path, the camera readout, the
+# split search's RS reject path and its syndrome-domain search compile
+# and run), and
 # the one benchmark gate, bench-gate, which compares no timing and so
 # passes on any host. Each soak test runs once. Budget: 441 s wall on a
 # 2-vCPU VM; race-pipeline (144 s), the test suite (85 s) and
@@ -144,12 +145,14 @@ cover:
 		echo "coverage $$total% below floor $$floor% (modem+colorspace+equalize+csk+rs+gf256)"; exit 1; \
 	fi
 
-# bench runs the decode (ProcessFrame), camera (Capture) and RS
+# bench runs the decode (ProcessFrame), camera (Capture), RS
 # failure-path (DecodeWrongErasures: the wrong loss-split guess the
-# receiver's split search makes on almost every attempt) benchmarks
-# once each, so all three compile and run in CI.
+# receiver's split search makes on almost every attempt) and split
+# search (SplitSearch: decodeData on a chaos capture's packet that
+# resolves after 691 splits and on one that exhausts the budget)
+# benchmarks once each, so all four compile and run in CI.
 bench:
-	$(GO) test -run=- -bench='^(BenchmarkProcessFrame|BenchmarkCapture|BenchmarkDecodeWrongErasures)$$' -benchtime=1x ./...
+	$(GO) test -run=- -bench='^(BenchmarkProcessFrame|BenchmarkCapture|BenchmarkDecodeWrongErasures|BenchmarkSplitSearch)$$' -benchtime=1x ./...
 
 # bench-gate is the one benchmark gate. Everything the seed fixes —
 # SER and its sample size, goodput, block and RS-attempt counts at

@@ -356,6 +356,15 @@ type Frame struct {
 // At returns the pixel at row r, column c.
 func (f *Frame) At(r, c int) colorspace.RGB { return f.Pix[r*f.Cols+c] }
 
+// TimingValid reports whether the frame's RowTime is finite and
+// positive and its Exposure finite and non-negative: every frame a
+// valid Profile captures, and the timings a receiver can reduce to
+// band widths. Frames from outside the process (the ingest wire) are
+// checked with it.
+func (f *Frame) TimingValid() bool {
+	return f.RowTime > 0 && !math.IsInf(f.RowTime, 1) && f.Exposure >= 0 && !math.IsInf(f.Exposure, 1)
+}
+
 // RowMean returns the mean pixel of row r — the paper's dimension
 // reduction (§7 Step 2), which averages the axis perpendicular to the
 // bands to turn the frame into a 1-D color strip.

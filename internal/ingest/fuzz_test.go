@@ -6,6 +6,9 @@ import (
 	"testing"
 
 	"colorbars/internal/camera"
+	"colorbars/internal/csk"
+	"colorbars/internal/modem"
+	"colorbars/internal/rs"
 )
 
 // Decoders FuzzWireFrame selects with its input's first byte.
@@ -26,7 +29,8 @@ const (
 // server's pool reuses them. No input may panic; an accepted FRAME
 // must leave exactly Rows·Cols pixels; and every accepted body must
 // re-encode to itself, so the decoders accept only what the encoders
-// produce.
+// produce. Every accepted FRAME also goes through a receiver's
+// Analyze, which must not panic on any timing the wire lets through.
 func FuzzWireFrame(f *testing.F) {
 	frameBody := func(q int, levels ...float64) []byte {
 		b, err := encodeFrame(nil, 7, 9, gridFrame(levels), q)
@@ -56,6 +60,9 @@ func FuzzWireFrame(f *testing.F) {
 	binary.BigEndian.PutUint32(hostile[20:], 2900561549)
 	hostile[16+40] = 8
 	seed(fuzzFrame, hostile)
+	zeroRowTime := bytes.Clone(narrow) // once crashed Analyze
+	binary.BigEndian.PutUint64(zeroRowTime[16+32:], 0)
+	seed(fuzzFrame, zeroRowTime)
 
 	hello, err := Hello{DeviceID: "fuzz-01", Order: 16, SymbolRate: 4000, FrameRate: 30}.encode()
 	if err != nil {
@@ -68,6 +75,12 @@ func FuzzWireFrame(f *testing.F) {
 	seed(fuzzBlock, Block{Recovered: true, Data: []byte("abc")}.encode())
 	seed(fuzzStats, Stats{FramesIn: 4, Admitted: 3, Blocks: 2, BlocksOK: 1, CalCached: true}.encode())
 
+	rx, err := modem.NewReceiver(modem.RxConfig{
+		Order: csk.CSK4, SymbolRate: 1500, WhiteFraction: 0.2, Code: rs.MustNew(35, 17),
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
 	reused := &camera.Frame{}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
@@ -87,6 +100,7 @@ func FuzzWireFrame(f *testing.F) {
 			if len(reused.Pix) != reused.Rows*reused.Cols {
 				t.Fatalf("accepted FRAME left %d pixels for %dx%d", len(reused.Pix), reused.Rows, reused.Cols)
 			}
+			rx.Analyze(reused)
 			again, err = encodeFrame(nil, sid, seq, reused, int(body[16+40]))
 		case fuzzHello:
 			h, derr := decodeHello(body)

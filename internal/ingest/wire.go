@@ -446,7 +446,10 @@ func decodeFrame(b []byte) (sessionID, seq uint64, f *camera.Frame, err error) {
 // sensor's level table. Every field of f is overwritten and f.Pix is
 // resliced to Rows·Cols, reusing its storage when the capacity
 // suffices, so a frame recycled from a larger or different capture
-// carries nothing stale. On error f's contents are unspecified.
+// carries nothing stale. A FRAME whose timing no receiver can use
+// (camera.Frame.TimingValid: a RowTime that is not finite and
+// positive, an Exposure that is not finite and non-negative) is an
+// error. On error f's contents are unspecified.
 func decodeFrameInto(b []byte, f *camera.Frame) (sessionID, seq uint64, err error) {
 	if len(b) < 16+frameHeaderSize {
 		return 0, 0, fmt.Errorf("ingest: FRAME truncated (%d bytes)", len(b))
@@ -471,20 +474,24 @@ func decodeFrameInto(b []byte, f *camera.Frame) (sessionID, seq uint64, err erro
 	if len(px) != n*per {
 		return 0, 0, fmt.Errorf("ingest: FRAME pixel payload %d bytes, want %d", len(px), n*per)
 	}
-	pix := f.Pix
-	if cap(pix) < n {
-		pix = make([]colorspace.RGB, n)
-	}
-	pix = pix[:n]
-	*f = camera.Frame{
+	hdr := camera.Frame{
 		Rows:     int(rows),
 		Cols:     int(cols),
-		Pix:      pix,
 		Start:    math.Float64frombits(binary.BigEndian.Uint64(b[8:])),
 		Exposure: math.Float64frombits(binary.BigEndian.Uint64(b[16:])),
 		ISO:      math.Float64frombits(binary.BigEndian.Uint64(b[24:])),
 		RowTime:  math.Float64frombits(binary.BigEndian.Uint64(b[32:])),
 	}
+	if !hdr.TimingValid() {
+		return 0, 0, fmt.Errorf("ingest: FRAME exposure %v s, row time %v s out of range", hdr.Exposure, hdr.RowTime)
+	}
+	pix := f.Pix
+	if cap(pix) < n {
+		pix = make([]colorspace.RGB, n)
+	}
+	pix = pix[:n]
+	hdr.Pix = pix
+	*f = hdr
 	t := levels(quantBits)
 	// Levels are below len(t) = 2^quantBits exactly when their OR is.
 	// One loop per wire width keeps the per-pixel path branch-free.

@@ -297,6 +297,40 @@ func TestFrameDecodeRejectsHostileGeometry(t *testing.T) {
 	}
 }
 
+// TestFrameDecodeRejectsBadTiming: a FRAME's exposure and row time
+// come off the wire as raw float64s, and a receiver given a zero,
+// negative or NaN row time, or a NaN, infinite or negative exposure,
+// once panicked and took the ingest process down. Those are decode
+// errors now; finite positive timings, however extreme, are accepted
+// (the receiver's own tests cover what it makes of them).
+func TestFrameDecodeRejectsBadTiming(t *testing.T) {
+	for _, tc := range []struct {
+		exposure, rowTime float64
+		ok                bool
+	}{
+		{1e-3, 0, false},
+		{1e-3, -1e-5, false},
+		{1e-3, math.NaN(), false},
+		{1e-3, math.Inf(1), false},
+		{math.NaN(), 1e-5, false},
+		{math.Inf(1), 1e-5, false},
+		{-1, 1e-5, false},
+		{1e300, 1e-300, true},
+		{1e-3, 1e-300, true},
+		{0, 1e-5, true},
+	} {
+		f := gridFrame([]float64{0, 1, 128.0 / 255})
+		f.Exposure, f.RowTime = tc.exposure, tc.rowTime
+		body, err := encodeFrame(nil, 1, 2, f, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := decodeFrameInto(body, &camera.Frame{}); (err == nil) != tc.ok {
+			t.Errorf("exposure %v, row time %v: decode error %v, want accepted=%v", tc.exposure, tc.rowTime, err, tc.ok)
+		}
+	}
+}
+
 // TestMessageRoundTrips covers every control message codec plus the
 // framing layer itself.
 func TestMessageRoundTrips(t *testing.T) {

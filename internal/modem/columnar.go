@@ -126,7 +126,9 @@ func (s *frameScratch) segment(rowsPerSym, smearRows float64) []band {
 		dl, da, db := l[lo]-l[hi], a[lo]-a[hi], bb[lo]-bb[hi]
 		diff[i] = dl*dl + da*da + db*db
 	}
-	minSpacing := int(rowsPerSym / 2)
+	// Any spacing of n rows or more admits one cut per frame; the
+	// bound keeps a huge rowsPerSym from overflowing the conversion.
+	minSpacing := int(min(rowsPerSym/2, float64(n)))
 	if minSpacing < 1 {
 		minSpacing = 1
 	}

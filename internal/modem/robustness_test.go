@@ -1,7 +1,9 @@
 package modem
 
 import (
+	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"colorbars/internal/camera"
@@ -12,6 +14,7 @@ import (
 	"colorbars/internal/csk"
 	"colorbars/internal/led"
 	"colorbars/internal/packet"
+	"colorbars/internal/rs"
 )
 
 // TestAmbientLightRobustness checks §6.2's claim that periodic
@@ -185,5 +188,128 @@ func TestDecodeDataNeverPanicsOnRandomPackets(t *testing.T) {
 		// unlikely but harmless if the syndrome check passes.
 		var blk Block
 		rx.handlePacket(pkt, &blk)
+	}
+}
+
+// TestImpossibleSizeFieldRejectedEarly pins the size-field bound: a
+// declared payload size outside [SlotsForData(D), SlotsForData(D+1)),
+// D one codeword's data symbols, holds more or fewer data symbols than
+// one codeword, so the packet must come back as the zero Block it
+// always did — without building its layout, counting an RS attempt or
+// a bad size field. The bounds must match the layout's data count at
+// every declared size up to just past them.
+func TestImpossibleSizeFieldRejectedEarly(t *testing.T) {
+	const order, white = csk.CSK4, 0.2
+	code := rs.MustNew(35, 17)
+	d := order.SymbolsPerBytes(code.N())
+	lo, hi := packet.SlotsForData(d, white), packet.SlotsForData(d+1, white)
+	for total := 0; total <= hi+8; total++ {
+		if holds := packet.DataSlots(total, white) == d; holds != (total >= lo && total < hi) {
+			t.Fatalf("%d declared slots: layout holds one codeword %v, bounds [%d, %d) say otherwise", total, holds, lo, hi)
+		}
+	}
+
+	// sizePacket declares total payload slots and carries observed
+	// random data slots with one gap in their middle.
+	rng := rand.New(rand.NewSource(29))
+	sizePacket := func(rx *Receiver, total, observed int) packet.RxPacket {
+		nSize, bps := packet.SizeSymbols(order), order.BitsPerSymbol()
+		v := total << (nSize*bps - packet.SizeBits)
+		var pkt packet.RxPacket
+		for i := nSize - 1; i >= 0; i-- {
+			sym := v >> (i * bps) & (int(order) - 1)
+			pkt.Slots = append(pkt.Slots, packet.RxSlot{Kind: packet.KindData, AB: rx.refs[sym]})
+		}
+		for i := 0; i < observed; i++ {
+			pkt.Slots = append(pkt.Slots, packet.RxSlot{Kind: packet.KindData, AB: rx.refs[rng.Intn(int(order))]})
+		}
+		pkt.Gaps = []int{nSize + observed/2}
+		return pkt
+	}
+	rx, err := NewReceiver(RxConfig{
+		Order: order, SymbolRate: 1500, WhiteFraction: white, Code: code, UseFactoryReferences: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, total := range []int{0, lo - 1, hi, 1<<packet.SizeBits - 1} {
+		var blk Block
+		rx.decodeData(sizePacket(rx, total, lo-20), &blk)
+		if !reflect.DeepEqual(blk, Block{}) {
+			t.Errorf("%d declared slots: block %+v, want the zero Block", total, blk)
+		}
+	}
+	if attempts, bad := rx.c.rsAttempts.Value(), rx.c.sizeFieldBad.Value(); cap(rx.ds.layout) != 0 || attempts != 0 || bad != 0 {
+		t.Errorf("impossible sizes built a %d-slot layout, made %d RS attempts and counted %d bad size fields; want none",
+			cap(rx.ds.layout), attempts, bad)
+	}
+	// A possible size still reaches the layout and the decoder.
+	var blk Block
+	rx.decodeData(sizePacket(rx, lo, lo-20), &blk)
+	if len(rx.ds.layout) != lo || rx.c.rsAttempts.Value() == 0 {
+		t.Errorf("%d declared slots: layout %d slots after %d RS attempts; want %d slots and an attempt",
+			lo, len(rx.ds.layout), rx.c.rsAttempts.Value(), lo)
+	}
+}
+
+// frameTimings are FRAME timings from outside the process that once
+// crashed the receiver: a zero, negative or NaN RowTime, a NaN,
+// infinite or negative Exposure, and smear widths (Exposure/RowTime)
+// too large for an int. RowTime +Inf never crashed it. valid is what
+// camera.Frame.TimingValid, and so the ingest wire, says of each.
+var frameTimings = []struct {
+	name              string
+	exposure, rowTime float64
+	valid             bool
+}{
+	{"rowtime-zero", 1e-3, 0, false},
+	{"rowtime-negative", 1e-3, -1e-5, false},
+	{"rowtime-nan", 1e-3, math.NaN(), false},
+	{"rowtime-inf", 1e-3, math.Inf(1), false},
+	{"exposure-nan", math.NaN(), 1e-5, false},
+	{"exposure-inf", math.Inf(1), 1e-5, false},
+	{"exposure-negative", -1, 1e-5, false},
+	{"smear-overflow", 1e300, 1e-300, true},
+	{"rowtime-tiny", 1e-3, 1e-300, true},
+}
+
+// TestAnalyzeSurvivesAnyFrameTiming feeds a 40×4 frame with each of
+// frameTimings through ProcessFrame: none may panic, and a timing
+// TimingValid rejects yields an empty analysis.
+func TestAnalyzeSurvivesAnyFrameTiming(t *testing.T) {
+	prof := camera.Ideal()
+	code, err := (coding.Params{
+		SymbolRate: 2000, FrameRate: prof.FrameRate, LossRatio: prof.LossRatio(),
+		Order: csk.CSK8, DataFraction: 0.8,
+	}).LinkCodeErasure()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rx, err := NewReceiver(RxConfig{Order: csk.CSK8, SymbolRate: 2000, WhiteFraction: 0.2, Code: code})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(31))
+	for _, tc := range frameTimings {
+		t.Run(tc.name, func(t *testing.T) {
+			f := &camera.Frame{Rows: 40, Cols: 4, Exposure: tc.exposure, RowTime: tc.rowTime}
+			f.Pix = make([]colorspace.RGB, f.Rows*f.Cols)
+			for i := range f.Pix {
+				// Bands of 5 rows, so the segmentation has cuts to find.
+				if (i/f.Cols/5)%2 == 0 {
+					f.Pix[i] = colorspace.RGB{R: 0.8, G: 0.2 + 0.01*rng.Float64(), B: 0.1}
+				} else {
+					f.Pix[i] = colorspace.RGB{R: 0.1, G: 0.3, B: 0.9 + 0.01*rng.Float64()}
+				}
+			}
+			if got := f.TimingValid(); got != tc.valid {
+				t.Fatalf("TimingValid = %v, want %v", got, tc.valid)
+			}
+			a := rx.Analyze(f)
+			if !tc.valid && (len(a.bands) != 0 || a.hasOffLevel) {
+				t.Errorf("invalid timing planned %d bands", len(a.bands))
+			}
+			rx.Recycle(rx.ProcessAnalysis(a))
+		})
 	}
 }

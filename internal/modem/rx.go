@@ -3,6 +3,7 @@ package modem
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"colorbars/internal/camera"
 	"colorbars/internal/cie"
@@ -351,7 +352,61 @@ type decodeScratch struct {
 	cw       []byte          // unpacked (and descrambled) codeword
 	reenc    []byte          // re-encoded codeword for correction count
 	calib    []colorspace.AB // permutation-corrected calibration colors
+	bounds   slotBounds      // declared slot counts that hold one codeword
+	sj       splitJudge      // syndrome-domain scoring of multi-gap splits
 }
+
+// slotBounds caches, for one code, order and white fraction, the
+// declared payload slot counts [lo, hi) whose layout holds exactly one
+// codeword's data symbols: lo = SlotsForData(D), hi = SlotsForData(D+1)
+// with D = SymbolsPerBytes(n). A layout's data count never falls as
+// its slot count grows, so every count outside [lo, hi) holds more or
+// fewer data symbols than one codeword.
+type slotBounds struct {
+	code   *rs.Code
+	order  csk.Order
+	white  float64
+	lo, hi int
+}
+
+// splitJudge scores multi-gap loss-split hypotheses by their RS
+// syndromes instead of rebuilding each one's codeword (DESIGN.md §17).
+// The descrambled codeword is the scrambler mask XOR the packed bit
+// fields of its data symbols, and syndromes are linear over XOR, so a
+// hypothesis's syndromes are the mask's XOR one vector per observed
+// segment at that segment's shift. Segment k is the run of observed
+// slots between gap k−1 and gap k; under a split it lands split[0] +
+// … + split[k−1] layout slots later than with no loss. The first and
+// last segments land the same way in every hypothesis, so they fold
+// into base with the mask; the middle ones are memoized per (segment,
+// shift).
+type splitJudge struct {
+	// Per code (rebuilt when the receiver's code changes).
+	code     *rs.Code
+	maskSynd []byte // syndromes of the scrambler mask over n bytes
+	word     []byte // n-byte packing scratch, all zero between uses
+	synd     []byte // the hypothesis being scored
+	spill    []byte // a segment's vector past the memo's cap
+
+	// Per packet: set by reset, the rest by prepareSplitJudge at the
+	// packet's second hypothesis (the first always runs in full).
+	ready      bool
+	layout     []bool
+	observed   []packet.RxSlot
+	gaps       []int
+	missing    int
+	dataBefore []int  // dataBefore[s]: data slots in layout[:s]
+	base       []byte // maskSynd ⊕ segment 0 at shift 0 ⊕ the last segment at shift missing
+	memo       []byte // vector of middle segment k at shift L at (k−1)·(missing+1)+L
+	have       []bool // which memo vectors are filled
+	eras       []int  // the hypothesis's erased byte positions, ascending
+}
+
+// maxSplitMemo caps the bytes of segment syndrome vectors the split
+// judge keeps (DESIGN.md §17). A chaos-4csk packet needs 3·47 vectors
+// of 18 bytes, 2.5 KB; past the cap a vector is computed for each use
+// and not kept, so a hostile packet costs time, not memory.
+const maxSplitMemo = 16 << 10
 
 // maxFreeBufs bounds each free-list so a pathological burst cannot pin
 // unbounded memory.
@@ -736,7 +791,17 @@ func (r *Receiver) ProcessFrame(f *camera.Frame) []Block {
 func (r *Receiver) Analyze(f *camera.Frame) *Analysis {
 	parent := r.tel.StartSpan("rx.analyze")
 	defer parent.End()
+	a := getAnalysis()
+	if !f.TimingValid() {
+		// No band width can be derived: nothing to emit.
+		return a
+	}
 	rowsPerSym := 1 / (r.cfg.SymbolRate * f.RowTime)
+	// From 2·Rows up, every smear width segments alike: bandColor keeps
+	// each band's middle row and segment's window spans the frame. The
+	// clamp keeps a huge ratio (a tiny RowTime) from overflowing an
+	// int there.
+	smearRows := min(f.Exposure/f.RowTime, 2*float64(f.Rows))
 	s := getScratch(f.Rows)
 
 	sp := parent.StartChild("rx.strip")
@@ -744,10 +809,9 @@ func (r *Receiver) Analyze(f *camera.Frame) *Analysis {
 	sp.End()
 
 	sp = parent.StartChild("rx.segment")
-	bands := s.segment(rowsPerSym, f.Exposure/f.RowTime)
+	bands := s.segment(rowsPerSym, smearRows)
 	sp.End()
 
-	a := getAnalysis()
 	s.planInto(a, bands, rowsPerSym)
 	putScratch(s)
 	return a
@@ -1174,74 +1238,11 @@ func (r *Receiver) correctionCount(b *Block) int {
 // guesses.
 func (r *Receiver) decodeData(pkt packet.RxPacket, blk *Block) {
 	ds := &r.ds
-	nSize := packet.SizeSymbols(r.cfg.Order)
-	if len(pkt.Slots) < nSize {
+	layout, observed, gaps, missing, ok := r.packetGeometry(pkt)
+	if !ok {
 		return
-	}
-	// Match and decode the size field.
-	sizeIdx := ds.sizeIdx[:0]
-	for i := 0; i < nSize; i++ {
-		sizeIdx = append(sizeIdx, csk.NearestAB(r.eqAB(pkt.Slots[i].AB), r.refs))
-	}
-	ds.sizeIdx = sizeIdx
-	totalSlots, err := r.pktCfg.DecodeSizeField(sizeIdx)
-	if err != nil {
-		r.c.sizeFieldBad.Inc()
-		return
-	}
-
-	observed := pkt.Slots[nSize:]
-	missing := totalSlots - len(observed)
-	if missing < 0 {
-		// More slots observed than declared: corrupt size field.
-		return
-	}
-	gaps := ds.gaps[:0]
-	for _, g := range pkt.Gaps {
-		gaps = append(gaps, g-nSize)
-	}
-	if missing > 0 && len(gaps) == 0 {
-		// Stream ended mid-packet without a gap marker: the tail is
-		// the loss.
-		gaps = append(gaps, len(observed))
-	}
-	ds.gaps = gaps
-	for _, g := range gaps {
-		if g < 0 || g > len(observed) {
-			return
-		}
-	}
-
-	// Reconstruct the slot kinds for the whole packet from the shared
-	// layout rule.
-	layout := packet.AppendWhiteLayout(ds.layout[:0], totalSlots, r.cfg.WhiteFraction)
-	ds.layout = layout
-	dataCount := 0
-	for _, w := range layout {
-		if !w {
-			dataCount++
-		}
 	}
 	n := r.cfg.Code.N()
-	if dataCount != r.cfg.Order.SymbolsPerBytes(n) {
-		// Declared size does not correspond to one codeword: corrupt
-		// size field.
-		return
-	}
-
-	// Every split hypothesis classifies the same observed slots against
-	// the same references and equalizer (neither changes inside a
-	// packet), so each slot is classified once, on first use, and the
-	// index is reused by every later hypothesis (DESIGN.md §17).
-	cls := ds.cls
-	if cap(cls) < len(observed) {
-		cls = make([]int, len(observed))
-	}
-	cls = cls[:len(observed)]
-	for i := range cls {
-		cls[i] = -1
-	}
-	ds.cls = cls
 
 	// Try loss splits across the gaps, most even first. With zero or
 	// one gap there is exactly one split, whose erasure positions are
@@ -1305,10 +1306,106 @@ func (r *Receiver) decodeData(pkt packet.RxPacket, blk *Block) {
 			}
 		}
 		ds.order = order
+		ds.sj.reset(layout, observed, gaps, missing)
 		tries := 0
 		recovered = r.searchSplits(blk, layout, observed, gaps, order, split, n, 0, missing, &tries)
 	}
 	blk.Recovered = recovered
+}
+
+// packetGeometry decodes a data packet's size field and returns the
+// packet's slot layout (on decode scratch), its observed payload
+// slots, its gap positions rebased past the size field, and how many
+// slots the gaps swallowed in total, and clears the classification
+// memo for the observed slots. ok is false when the packet cannot hold
+// one codeword as declared: the size field fails to decode, declares a
+// slot count whose layout holds more or fewer data symbols than one
+// codeword, or declares fewer slots than were observed; or a gap lies
+// outside the payload or before the one listed ahead of it (the
+// deframer lists gaps ascending).
+func (r *Receiver) packetGeometry(pkt packet.RxPacket) (layout []bool, observed []packet.RxSlot, gaps []int, missing int, ok bool) {
+	ds := &r.ds
+	nSize := packet.SizeSymbols(r.cfg.Order)
+	if len(pkt.Slots) < nSize {
+		return nil, nil, nil, 0, false
+	}
+	// Match and decode the size field.
+	sizeIdx := ds.sizeIdx[:0]
+	for i := 0; i < nSize; i++ {
+		sizeIdx = append(sizeIdx, csk.NearestAB(r.eqAB(pkt.Slots[i].AB), r.refs))
+	}
+	ds.sizeIdx = sizeIdx
+	totalSlots, err := r.pktCfg.DecodeSizeField(sizeIdx)
+	if err != nil {
+		r.c.sizeFieldBad.Inc()
+		return nil, nil, nil, 0, false
+	}
+	// A declared size outside [lo, hi) does not correspond to one
+	// codeword: corrupt size field. Rejecting it before the layout is
+	// built keeps a bad 15-bit field from growing the layout scratch
+	// to 32767 slots.
+	if lo, hi := r.codewordSlots(); totalSlots < lo || totalSlots >= hi {
+		return nil, nil, nil, 0, false
+	}
+
+	observed = pkt.Slots[nSize:]
+	missing = totalSlots - len(observed)
+	if missing < 0 {
+		// More slots observed than declared: corrupt size field.
+		return nil, nil, nil, 0, false
+	}
+	gaps = ds.gaps[:0]
+	for _, g := range pkt.Gaps {
+		gaps = append(gaps, g-nSize)
+	}
+	if missing > 0 && len(gaps) == 0 {
+		// Stream ended mid-packet without a gap marker: the tail is
+		// the loss.
+		gaps = append(gaps, len(observed))
+	}
+	ds.gaps = gaps
+	for i, g := range gaps {
+		if g < 0 || g > len(observed) || i > 0 && g < gaps[i-1] {
+			return nil, nil, nil, 0, false
+		}
+	}
+
+	// Reconstruct the slot kinds for the whole packet from the shared
+	// layout rule.
+	layout = packet.AppendWhiteLayout(ds.layout[:0], totalSlots, r.cfg.WhiteFraction)
+	ds.layout = layout
+
+	// Every split hypothesis classifies the same observed slots against
+	// the same references and equalizer (neither changes inside a
+	// packet), so each slot is classified once, on first use, and the
+	// index is reused by every later hypothesis (DESIGN.md §17).
+	cls := ds.cls
+	if cap(cls) < len(observed) {
+		cls = make([]int, len(observed))
+	}
+	cls = cls[:len(observed)]
+	for i := range cls {
+		cls[i] = -1
+	}
+	ds.cls = cls
+	return layout, observed, gaps, missing, true
+}
+
+// codewordSlots returns the declared payload slot counts [lo, hi)
+// whose layout holds exactly one codeword's data symbols, cached per
+// code, order and white fraction (SetOperatingPoint changes all
+// three).
+func (r *Receiver) codewordSlots() (lo, hi int) {
+	b := &r.ds.bounds
+	if b.code != r.cfg.Code || b.order != r.cfg.Order || b.white != r.cfg.WhiteFraction {
+		d := r.cfg.Order.SymbolsPerBytes(r.cfg.Code.N())
+		*b = slotBounds{
+			code: r.cfg.Code, order: r.cfg.Order, white: r.cfg.WhiteFraction,
+			lo: packet.SlotsForData(d, r.cfg.WhiteFraction),
+			hi: packet.SlotsForData(d+1, r.cfg.WhiteFraction),
+		}
+	}
+	return b.lo, b.hi
 }
 
 // maxSplitTries bounds the multi-gap loss-split search, matching
@@ -1319,7 +1416,12 @@ const maxSplitTries = 2000
 // most-even-first order (the sequence forEachSplit produces) on the
 // decode scratch, trying each against the RS decoder until one
 // verifies or the budget runs out. Verification slack is always
-// required here: every multi-gap split is a guess.
+// required here: every multi-gap split is a guess. The first split
+// runs in full, since a packet that decodes nowhere keeps its symbols
+// for SER accounting; every later one is scored by its syndromes
+// (splitPasses), and only one that passes is rebuilt and decoded, so
+// the block and the rx.rs_attempts count are those of running every
+// split in full.
 func (r *Receiver) searchSplits(blk *Block, layout []bool, observed []packet.RxSlot, gaps, order, split []int, n, idx, remaining int, tries *int) bool {
 	if idx == len(gaps)-1 {
 		if *tries >= maxSplitTries {
@@ -1327,6 +1429,12 @@ func (r *Receiver) searchSplits(blk *Block, layout []bool, observed []packet.RxS
 		}
 		*tries++
 		split[idx] = remaining
+		if *tries > 1 && !r.splitPasses(split) {
+			// rsDecode would reject this split; it still counts as an
+			// attempt.
+			r.c.rsAttempts.Inc()
+			return false
+		}
 		return r.trySplit(blk, layout, observed, gaps, split, n, true)
 	}
 	for _, v := range order {
@@ -1422,13 +1530,8 @@ func (r *Receiver) assembleSymbols(layout []bool, observed []packet.RxSlot, gaps
 				}
 				raw = append(raw, -1)
 			} else {
-				idx := ds.cls[oi]
-				if idx < 0 {
-					idx = csk.NearestAB(r.eqAB(observed[oi].AB), r.refs)
-					ds.cls[oi] = idx
-				}
+				raw = append(raw, r.slotClass(observed, oi))
 				oi++
-				raw = append(raw, idx)
 				symbolsObserved++
 			}
 		}
@@ -1466,11 +1569,7 @@ func (r *Receiver) rsDecode(raw []int, erasures []int, n int, needSlack bool) ([
 	// leave slack: with s spare parity bytes, a wrong guess passes
 	// only with probability ~2^(-8s). The budget is tested before the
 	// codeword is built, so a hypothesis past it costs nothing more.
-	limit := r.cfg.Code.ParityBytes()
-	if needSlack {
-		limit -= 4
-	}
-	if len(eras) > limit {
+	if len(eras) > r.erasureLimit(needSlack) {
 		return nil, false
 	}
 	ds := &r.ds
@@ -1494,6 +1593,174 @@ func (r *Receiver) rsDecode(raw []int, erasures []int, n int, needSlack bool) ([
 		return nil, false
 	}
 	return append(r.getDataBuf(), data...), true
+}
+
+// erasureLimit is the most erasures an RS attempt may declare: the
+// code's parity, less 4 bytes of verification slack for a speculative
+// attempt (see rsDecode).
+func (r *Receiver) erasureLimit(needSlack bool) int {
+	if needSlack {
+		return r.cfg.Code.ParityBytes() - 4
+	}
+	return r.cfg.Code.ParityBytes()
+}
+
+// slotClass returns observed slot o's constellation index, classified
+// on first use and memoized in ds.cls for the packet's later
+// hypotheses.
+func (r *Receiver) slotClass(observed []packet.RxSlot, o int) int {
+	idx := r.ds.cls[o]
+	if idx < 0 {
+		idx = csk.NearestAB(r.eqAB(observed[o].AB), r.refs)
+		r.ds.cls[o] = idx
+	}
+	return idx
+}
+
+// reset starts a packet's split search; the judge sets itself up at
+// the packet's second hypothesis.
+func (sj *splitJudge) reset(layout []bool, observed []packet.RxSlot, gaps []int, missing int) {
+	sj.ready = false
+	sj.layout, sj.observed, sj.gaps, sj.missing = layout, observed, gaps, missing
+}
+
+// splitPasses scores one multi-gap loss split by its syndromes: false
+// means rsDecode would reject it, true that it passes. The erasures and
+// the verdict are rsDecode's: each gap's lost layout range erases the
+// bytes its data symbols touch, as in assembleSymbols, the erasure
+// budget is the same, and Decoder.CheckSyndromes gives Decode's
+// verdict.
+func (r *Receiver) splitPasses(split []int) bool {
+	sj := &r.ds.sj
+	if !sj.ready {
+		r.prepareSplitJudge()
+	}
+	c := r.cfg.Order.BitsPerSymbol()
+	n := len(sj.word)
+	eras := sj.eras[:0]
+	shift := 0 // layout slots lost before the current gap
+	for k, g := range sj.gaps {
+		first, end := sj.dataBefore[g+shift], sj.dataBefore[g+shift+split[k]]
+		shift += split[k]
+		if first == end {
+			continue
+		}
+		by, last := first*c/8, min((end*c-1)/8, n-1)
+		if len(eras) > 0 {
+			by = max(by, eras[len(eras)-1]+1) // a byte two gaps' symbols share
+		}
+		for ; by <= last; by++ {
+			eras = append(eras, by)
+		}
+	}
+	sj.eras = eras
+	if r.cfg.NoErasureDecoding {
+		eras = nil
+	}
+	if len(eras) > r.erasureLimit(true) {
+		return false
+	}
+	synd := append(sj.synd[:0], sj.base...)
+	shift = 0
+	for k := 1; k < len(sj.gaps); k++ {
+		shift += split[k-1]
+		v := r.segmentSyndromes(k, shift)
+		for i := range synd {
+			synd[i] ^= v[i]
+		}
+	}
+	sj.synd = synd
+	return r.dec.CheckSyndromes(synd, eras)
+}
+
+// prepareSplitJudge sets the judge up for the current packet: the
+// per-code mask syndromes, the data-slot prefix over the layout, the
+// base vector and an empty memo.
+func (r *Receiver) prepareSplitJudge() {
+	sj := &r.ds.sj
+	sj.ready = true
+	code := r.cfg.Code
+	w := code.ParityBytes()
+	if sj.code != code {
+		sj.code = code
+		sj.word = make([]byte, code.N())
+		packet.ScrambleInPlace(sj.word) // the mask: a zero codeword, scrambled
+		sj.maskSynd = make([]byte, w)
+		code.AddSyndromes(sj.maskSynd, sj.word, 0)
+		clear(sj.word)
+		sj.base = make([]byte, w)
+		sj.synd = make([]byte, 0, w)
+		sj.spill = make([]byte, w)
+	}
+	before := append(sj.dataBefore[:0], 0)
+	for _, white := range sj.layout {
+		d := before[len(before)-1]
+		if !white {
+			d++
+		}
+		before = append(before, d)
+	}
+	sj.dataBefore = before
+	copy(sj.base, sj.maskSynd)
+	r.addSegmentSyndromes(sj.base, 0, sj.gaps[0], 0)
+	r.addSegmentSyndromes(sj.base, sj.gaps[len(sj.gaps)-1], len(sj.observed), sj.missing)
+	stored := min((len(sj.gaps)-1)*(sj.missing+1), maxSplitMemo/w)
+	sj.memo = slices.Grow(sj.memo[:0], stored*w)[:stored*w]
+	sj.have = slices.Grow(sj.have[:0], stored)[:stored]
+	clear(sj.have)
+}
+
+// segmentSyndromes returns the syndromes of middle segment k (0 < k <
+// gaps) at the given shift, kept in the memo when it fits under
+// maxSplitMemo. The vector is valid until the next call.
+func (r *Receiver) segmentSyndromes(k, shift int) []byte {
+	sj := &r.ds.sj
+	w := len(sj.base)
+	i := (k-1)*(sj.missing+1) + shift
+	if i >= len(sj.have) {
+		clear(sj.spill)
+		r.addSegmentSyndromes(sj.spill, sj.gaps[k-1], sj.gaps[k], shift)
+		return sj.spill
+	}
+	v := sj.memo[i*w : i*w+w]
+	if !sj.have[i] {
+		clear(v)
+		r.addSegmentSyndromes(v, sj.gaps[k-1], sj.gaps[k], shift)
+		sj.have[i] = true
+	}
+	return v
+}
+
+// addSegmentSyndromes XORs into synd the syndromes of observed slots
+// [from, to) landing at layout slot o+shift. Each data symbol's bits
+// go where AppendUnpack packs them: MSB first, so a 3- or 5-bit symbol
+// may straddle two bytes, and bits past the codeword's n bytes are
+// dropped.
+func (r *Receiver) addSegmentSyndromes(synd []byte, from, to, shift int) {
+	sj := &r.ds.sj
+	c := r.cfg.Order.BitsPerSymbol()
+	word := sj.word
+	lo, hi := len(word), 0
+	for o := from; o < to; o++ {
+		s := o + shift
+		if sj.layout[s] {
+			continue
+		}
+		bit := sj.dataBefore[s] * c
+		b := bit / 8
+		x := r.slotClass(sj.observed, o) << (16 - c - bit%8)
+		word[b] |= byte(x >> 8)
+		hi = b + 1
+		if b+1 < len(word) {
+			word[b+1] |= byte(x)
+			hi = b + 2
+		}
+		lo = min(lo, b)
+	}
+	if lo < hi {
+		r.cfg.Code.AddSyndromes(synd, word[lo:hi], lo)
+		clear(word[lo:hi])
+	}
 }
 
 // getRawBuf pops a RawSymbols buffer from the free-list (sized for one

@@ -78,7 +78,72 @@ func (d *Decoder) Decode(codeword []byte, erasures []int) ([]byte, error) {
 	if allZero(d.synd) {
 		return codeword[:c.k], nil
 	}
+	loc, positions, err := d.locate(erasures)
+	if err != nil {
+		return nil, err
+	}
+	if err := d.forneyCorrect(codeword, loc, positions); err != nil {
+		return nil, err
+	}
+	// Re-verify: a miscorrection leaves nonzero syndromes.
+	c.syndromesInto(d.verify, codeword)
+	if !allZero(d.verify) {
+		return nil, ErrTooManyErrors
+	}
+	return codeword[:c.k], nil
+}
 
+// CheckSyndromes reports whether Decode would succeed on a codeword
+// whose syndromes are synd (n−k of them, S_0 first) with the given
+// erasures, without the codeword. It runs Decode's pipeline from the
+// syndromes on and replaces the correct-and-recompute step with its
+// syndrome-domain equivalent: the corrected codeword r ⊕ Σ_p e_p·u_p
+// has syndromes S_j ⊕ Σ_p e_p·X_p^j, since syndromes are linear over
+// XOR, and GF(2^8) arithmetic is exact, so the verdict is Decode's on
+// every input. A receiver that scores many erasure hypotheses against
+// one received word (the loss-split search) builds each one's
+// syndromes from cached parts (AddSyndromes) and decodes only the
+// hypothesis that passes.
+func (d *Decoder) CheckSyndromes(synd []byte, erasures []int) bool {
+	c := d.c
+	if len(synd) != c.n-c.k || len(erasures) > c.n-c.k {
+		return false
+	}
+	for _, e := range erasures {
+		if e < 0 || e >= c.n {
+			return false
+		}
+	}
+	copy(d.synd, synd)
+	if allZero(d.synd) {
+		return true
+	}
+	loc, positions, err := d.locate(erasures)
+	if err != nil {
+		return false
+	}
+	d.forneyPrepare(loc)
+	v := append(d.verify[:0], d.synd...)
+	for _, pos := range positions {
+		mag, ok := d.forneyMagnitude(pos)
+		if !ok {
+			return false
+		}
+		row := gf256.MulRow(mag)
+		for j := range v {
+			v[j] ^= row[c.synPow[j*c.n+pos]]
+		}
+	}
+	return allZero(v)
+}
+
+// locate runs the decode pipeline between the syndromes (d.synd, not
+// all zero) and Forney's algorithm: the erasure locator Γ, the Forney
+// syndromes, Berlekamp–Massey and the Chien search. It returns the
+// combined locator loc = Γ·σ and the positions to correct, ascending,
+// both in scratch.
+func (d *Decoder) locate(erasures []int) (loc []byte, positions []int, err error) {
+	c := d.c
 	// Erasure locator Γ(x) = Π (1 + X_i·x), built by in-place binomial
 	// multiplication (descending index keeps each step reading
 	// pre-update coefficients) — the same convolution PolyMul computes.
@@ -105,15 +170,15 @@ func (d *Decoder) Decode(codeword []byte, erasures []int) ([]byte, error) {
 
 	errLoc, err := d.berlekampMassey(d.fsynd, len(erasures), c.n-c.k)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	positions, err := d.chienSearch(errLoc, erasures)
+	positions, err = d.chienSearch(errLoc, erasures)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	// Combined locator loc = Γ·σ (plain convolution into scratch).
-	loc := d.loc[:0]
+	loc = d.loc[:0]
 	for i := 0; i < len(g)+len(errLoc)-1; i++ {
 		var s byte
 		for j := 0; j < len(g) && j <= i; j++ {
@@ -124,43 +189,49 @@ func (d *Decoder) Decode(codeword []byte, erasures []int) ([]byte, error) {
 		loc = append(loc, s)
 	}
 	d.loc = loc
-
-	if err := d.forneyCorrect(codeword, d.synd, loc, positions); err != nil {
-		return nil, err
-	}
-	// Re-verify: a miscorrection leaves nonzero syndromes.
-	c.syndromesInto(d.verify, codeword)
-	if !allZero(d.verify) {
-		return nil, ErrTooManyErrors
-	}
-	return codeword[:c.k], nil
+	return loc, positions, nil
 }
 
-// syndromesInto fills synd with S_j = r(α^j) = Σ_i r_i·X_i^j, two
-// syndromes per pass over the codeword.
-func (c *Code) syndromesInto(synd, codeword []byte) {
+// AddSyndromes XORs into synd (n−k syndromes, S_0 first) the
+// syndromes of the n-byte word that holds part at [off, off+len(part))
+// and zeros elsewhere. Syndromes are linear over XOR, so a word's
+// syndromes are the XOR of its pieces' syndromes at their offsets.
+// Two syndromes are summed per pass over part, so each MulRow row
+// serves two lookups.
+func (c *Code) AddSyndromes(synd, part []byte, off int) {
 	n := c.n
-	codeword = codeword[:n]
+	if len(synd) != n-c.k || off < 0 || off+len(part) > n {
+		panic(fmt.Sprintf("rs: AddSyndromes of %d bytes at %d into %d syndromes of RS(%d,%d)",
+			len(part), off, len(synd), n, c.k))
+	}
+	end := off + len(part)
 	j := 0
 	for ; j+1 < len(synd); j += 2 {
-		pw0 := c.synPow[j*n : j*n+n]
-		pw1 := c.synPow[(j+1)*n : (j+1)*n+n]
+		pw0 := c.synPow[j*n+off : j*n+end]
+		pw1 := c.synPow[(j+1)*n+off : (j+1)*n+end]
 		var s0, s1 byte
-		for i, r := range codeword {
+		for i, r := range part {
 			row := gf256.MulRow(r)
 			s0 ^= row[pw0[i]]
 			s1 ^= row[pw1[i]]
 		}
-		synd[j], synd[j+1] = s0, s1
+		synd[j] ^= s0
+		synd[j+1] ^= s1
 	}
 	if j < len(synd) {
-		pw := c.synPow[j*n : j*n+n]
+		pw := c.synPow[j*n+off : j*n+end]
 		var s byte
-		for i, r := range codeword {
+		for i, r := range part {
 			s ^= gf256.MulRow(r)[pw[i]]
 		}
-		synd[j] = s
+		synd[j] ^= s
 	}
+}
+
+// syndromesInto fills synd with S_j = r(α^j) = Σ_i r_i·X_i^j.
+func (c *Code) syndromesInto(synd, codeword []byte) {
+	clear(synd)
+	c.AddSyndromes(synd, codeword, 0)
 }
 
 // berlekampMassey is the textbook Berlekamp–Massey on the decoder's
@@ -266,15 +337,28 @@ func (d *Decoder) chienSearch(sigma []byte, erasures []int) ([]int, error) {
 
 // forneyCorrect computes error magnitudes with Forney's algorithm and
 // repairs the codeword in place, position by position.
-func (d *Decoder) forneyCorrect(codeword, synd, loc []byte, positions []int) error {
-	c := d.c
-	twoT := c.n - c.k
+func (d *Decoder) forneyCorrect(codeword, loc []byte, positions []int) error {
+	d.forneyPrepare(loc)
+	for _, pos := range positions {
+		mag, ok := d.forneyMagnitude(pos)
+		if !ok {
+			return ErrTooManyErrors
+		}
+		codeword[pos] ^= mag
+	}
+	return nil
+}
+
+// forneyPrepare forms, from d.synd and the combined locator, the error
+// evaluator Ω and the formal derivative σ' that forneyMagnitude reads.
+func (d *Decoder) forneyPrepare(loc []byte) {
+	twoT := d.c.n - d.c.k
 	// Error evaluator Ω(x) = S(x)·σ(x) mod x^(2t), lowest-first.
 	omega := d.omega[:twoT]
 	for i := 0; i < twoT; i++ {
 		var s byte
 		for j := 0; j < len(loc) && j <= i; j++ {
-			s ^= gf256.MulRow(loc[j])[synd[i-j]]
+			s ^= gf256.MulRow(loc[j])[d.synd[i-j]]
 		}
 		omega[i] = s
 	}
@@ -285,26 +369,29 @@ func (d *Decoder) forneyCorrect(codeword, synd, loc []byte, positions []int) err
 		deriv = append(deriv, loc[i])
 	}
 	d.deriv = deriv
-	for _, pos := range positions {
-		// pw[j] = X^(−j) for j < n−k: Ω has n−k coefficients, and σ'
-		// reaches X^(−2i) with 2i ≤ deg(loc)−1 < n−k.
-		pw := c.invPow[pos*twoT : pos*twoT+twoT]
-		var num byte // Ω(X^(−1))
-		for i, o := range omega {
-			num ^= gf256.MulRow(o)[pw[i]]
-		}
-		var den byte // σ'(X^(−1))
-		for i, dv := range deriv {
-			den ^= gf256.MulRow(dv)[pw[2*i]]
-		}
-		if den == 0 {
-			return ErrTooManyErrors
-		}
-		// Forney: e = X·Ω(X^{-1})/σ'(X^{-1}) for the b=0 syndrome
-		// convention (first consecutive root α^0).
-		mag := gf256.Mul(num, gf256.Inv(den))
-		mag = gf256.Mul(mag, gf256.Exp(c.n-1-pos))
-		codeword[pos] ^= mag
+}
+
+// forneyMagnitude returns the error magnitude at position pos, or
+// false when σ' vanishes there.
+func (d *Decoder) forneyMagnitude(pos int) (byte, bool) {
+	c := d.c
+	twoT := c.n - c.k
+	// pw[j] = X^(−j) for j < n−k: Ω has n−k coefficients, and σ'
+	// reaches X^(−2i) with 2i ≤ deg(loc)−1 < n−k.
+	pw := c.invPow[pos*twoT : pos*twoT+twoT]
+	var num byte // Ω(X^(−1))
+	for i, o := range d.omega {
+		num ^= gf256.MulRow(o)[pw[i]]
 	}
-	return nil
+	var den byte // σ'(X^(−1))
+	for i, dv := range d.deriv {
+		den ^= gf256.MulRow(dv)[pw[2*i]]
+	}
+	if den == 0 {
+		return 0, false
+	}
+	// Forney: e = X·Ω(X^{-1})/σ'(X^{-1}) for the b=0 syndrome
+	// convention (first consecutive root α^0).
+	mag := gf256.Mul(num, gf256.Inv(den))
+	return gf256.Mul(mag, gf256.Exp(c.n-1-pos)), true
 }

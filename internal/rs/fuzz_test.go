@@ -13,7 +13,8 @@ import (
 // the same corrected codeword and the same error. When Decode does
 // claim success, the result must be a k-byte message whose
 // re-encoding reproduces the corrected codeword — success is
-// verifiable, not just plausible.
+// verifiable, not just plausible. CheckSyndromes on the input's
+// syndromes must give Decode's verdict.
 func FuzzRSDecode(f *testing.F) {
 	f.Add([]byte{40, 20})
 	f.Add([]byte{255, 128, 1, 2, 3, 4, 5})
@@ -59,13 +60,19 @@ func FuzzRSDecode(f *testing.F) {
 
 // checkAgainstReference decodes codeword in place with dec and a copy
 // with the reference pipeline, and fails the test unless both return
-// the same bytes, leave the same buffer and fail with the same error.
-// It returns the decoder's result.
+// the same bytes, leave the same buffer and fail with the same error,
+// and unless dec.CheckSyndromes, run first on the codeword's reference
+// syndromes, succeeds exactly when Decode does. It returns the
+// decoder's result.
 func checkAgainstReference(t *testing.T, c *Code, dec *Decoder, codeword []byte, erasures []int) ([]byte, error) {
 	t.Helper()
 	ref := append([]byte(nil), codeword...)
+	checked := dec.CheckSyndromes(c.syndromes(codeword), erasures)
 	wantMsg, wantErr := c.referenceDecode(ref, erasures)
 	msg, err := dec.Decode(codeword, erasures)
+	if checked != (err == nil) {
+		t.Fatalf("RS(%d,%d) erasures %v: CheckSyndromes %v, Decode error %v", c.n, c.k, erasures, checked, err)
+	}
 	if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
 		t.Fatalf("RS(%d,%d) erasures %v: Decode error %v, reference %v", c.n, c.k, erasures, err, wantErr)
 	}

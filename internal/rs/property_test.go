@@ -170,6 +170,38 @@ func TestPropertyMatchesReference(t *testing.T) {
 	}
 }
 
+// TestAddSyndromesPartition cuts random words of random codes into
+// random runs of adjacent ranges and requires the XOR of AddSyndromes
+// over the ranges to equal the whole word's syndromes from the
+// reference pipeline, whatever the cut: the linearity the receiver's
+// loss-split search scores its hypotheses by.
+func TestAddSyndromesPartition(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	for trial := 0; trial < 400; trial++ {
+		n := 2 + rng.Intn(254)
+		c := MustNew(n, 1+rng.Intn(n-1))
+		word := make([]byte, n)
+		rng.Read(word)
+		want := c.syndromes(word)
+		got := make([]byte, n-c.k)
+		for off := 0; off < n; {
+			end := off + 1 + rng.Intn(n-off)
+			if rng.Intn(4) == 0 {
+				end = off // empty ranges add nothing
+			}
+			c.AddSyndromes(got, word[off:end], off)
+			if end == off {
+				end++
+				c.AddSyndromes(got, word[off:end], off)
+			}
+			off = end
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("RS(%d,%d): partitioned syndromes %x, whole word %x", n, c.k, got, want)
+		}
+	}
+}
+
 // randomDamage returns a random codeword of c damaged with e unknown
 // errors and r erased bytes, with 2e + r drawn up to three past the
 // parity budget, and the erasure list the decoder is told about: most
