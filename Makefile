@@ -149,7 +149,8 @@ cover:
 # failure-path (DecodeWrongErasures: the wrong loss-split guess the
 # receiver's split search makes on almost every attempt) and split
 # search (SplitSearch: decodeData on a chaos capture's packet that
-# resolves after 691 splits and on one that exhausts the budget)
+# resolves after 691 splits, on one that exhausts the budget, and on a
+# single-gap packet whose moved-gap guesses are all judged and fail)
 # benchmarks once each, so all four compile and run in CI.
 bench:
 	$(GO) test -run=- -bench='^(BenchmarkProcessFrame|BenchmarkCapture|BenchmarkDecodeWrongErasures|BenchmarkSplitSearch)$$' -benchtime=1x ./...

@@ -20,6 +20,7 @@ package coding
 
 import (
 	"fmt"
+	"math"
 
 	"colorbars/internal/csk"
 	"colorbars/internal/packet"
@@ -41,21 +42,22 @@ type Params struct {
 	DataFraction float64
 }
 
-// Validate checks the parameters.
+// Validate checks the parameters. Every float field must be finite:
+// each range is tested in the form NaN fails.
 func (p Params) Validate() error {
-	if p.SymbolRate <= 0 {
+	if !(p.SymbolRate > 0 && p.SymbolRate < math.Inf(1)) {
 		return fmt.Errorf("coding: symbol rate %v", p.SymbolRate)
 	}
-	if p.FrameRate <= 0 {
+	if !(p.FrameRate > 0 && p.FrameRate < math.Inf(1)) {
 		return fmt.Errorf("coding: frame rate %v", p.FrameRate)
 	}
-	if p.LossRatio < 0 || p.LossRatio >= 1 {
+	if !(p.LossRatio >= 0 && p.LossRatio < 1) {
 		return fmt.Errorf("coding: loss ratio %v outside [0, 1)", p.LossRatio)
 	}
 	if !p.Order.Valid() {
 		return fmt.Errorf("coding: invalid order %d", int(p.Order))
 	}
-	if p.DataFraction <= 0 || p.DataFraction > 1 {
+	if !(p.DataFraction > 0 && p.DataFraction <= 1) {
 		return fmt.Errorf("coding: data fraction %v outside (0, 1]", p.DataFraction)
 	}
 	return nil

@@ -14,7 +14,6 @@ package soak
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
@@ -242,7 +241,11 @@ func Run(p Params) (Result, error) {
 
 	sp := run.StartChild("soak.decode")
 	if p.Workers > 0 {
-		blocks, err := pipelineDecode(p, tel, rx, frames)
+		// The armed stall watchdog makes the soak also exercise the
+		// recycle path under -race.
+		blocks, err := pipeline.DecodeAll(pipeline.Config{
+			Workers: p.Workers, StallTimeout: 30 * time.Second, Telemetry: tel,
+		}, "soak", rx, frames)
 		if err != nil {
 			sp.End()
 			return Result{}, err
@@ -274,38 +277,6 @@ func Run(p Params) (Result, error) {
 	res.Digest = digest.Sum64()
 	res.Snapshot = tel.Snapshot()
 	return res, nil
-}
-
-// pipelineDecode runs the capture through the concurrent pipeline
-// with an armed stall watchdog, so the soak also exercises the
-// recycle path under -race.
-func pipelineDecode(p Params, tel *telemetry.Registry, rx *modem.Receiver, frames []*camera.Frame) ([]modem.Block, error) {
-	pl := pipeline.New(pipeline.Config{
-		Workers:      p.Workers,
-		StallTimeout: 30 * time.Second,
-		Telemetry:    tel,
-	})
-	s, err := pl.AddStream("soak", rx)
-	if err != nil {
-		return nil, err
-	}
-	collected := make(chan []modem.Block, 1)
-	go func() {
-		var blocks []modem.Block
-		for b := range s.Blocks() {
-			blocks = append(blocks, b)
-		}
-		collected <- blocks
-	}()
-	for _, f := range frames {
-		if err := s.Submit(context.Background(), f); err != nil {
-			return nil, err
-		}
-	}
-	if err := pl.Close(context.Background()); err != nil {
-		return nil, err
-	}
-	return <-collected, nil
 }
 
 // AnalyzeHealth scans a run's per-frame health samples around one

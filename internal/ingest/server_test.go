@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"net/http/httptest"
 	"runtime"
 	"strconv"
@@ -17,6 +18,7 @@ import (
 	"colorbars/internal/csk"
 	"colorbars/internal/modem"
 	"colorbars/internal/packet"
+	"colorbars/internal/rs"
 	"colorbars/internal/telemetry"
 )
 
@@ -519,4 +521,69 @@ func TestTenantRowsBounded(t *testing.T) {
 	if got := tel.Snapshot().Counters["ingest.tenant.frames_in"]; got != ids {
 		t.Errorf("ingest.tenant.frames_in = %d after evictions, want %d", got, ids)
 	}
+}
+
+// TestNonFiniteLinkParamsRejected sets every float field of a HELLO to
+// NaN, +Inf and −Inf in turn. The link parameters each field feeds —
+// coding.Params for the RS sizing, modem.RxConfig for the receiver —
+// must fail Validate, and openSession must refuse the HELLO. NaN once
+// passed every range check, so a NaN LossRatio, DataFraction or
+// WhiteFraction opened a session.
+func TestNonFiniteLinkParamsRejected(t *testing.T) {
+	srv, err := New(Config{Telemetry: telemetry.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close(context.Background())
+	good := testHello("nonfinite-01", camera.Nexus5())
+	if sess, _, err := srv.openSession(good); err != nil || sess == nil {
+		t.Fatalf("valid HELLO refused: %v", err)
+	}
+	for _, f := range []struct {
+		name string
+		set  func(*Hello, float64)
+	}{
+		{"SymbolRate", func(h *Hello, v float64) { h.SymbolRate = v }},
+		{"WhiteFraction", func(h *Hello, v float64) { h.WhiteFraction = v }},
+		{"DataFraction", func(h *Hello, v float64) { h.DataFraction = v }},
+		{"FrameRate", func(h *Hello, v float64) { h.FrameRate = v }},
+		{"LossRatio", func(h *Hello, v float64) { h.LossRatio = v }},
+	} {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			h := good
+			f.set(&h, v)
+			params := coding.Params{
+				SymbolRate: h.SymbolRate, FrameRate: h.FrameRate, LossRatio: h.LossRatio,
+				Order: csk.Order(h.Order), DataFraction: h.DataFraction,
+			}
+			rxCfg := modem.RxConfig{
+				Order: csk.Order(h.Order), SymbolRate: h.SymbolRate, WhiteFraction: h.WhiteFraction,
+				Code: rsCode(t, good),
+			}
+			feedsParams := f.name != "WhiteFraction"
+			feedsRx := f.name == "SymbolRate" || f.name == "WhiteFraction"
+			if feedsParams && params.Validate() == nil {
+				t.Errorf("%s %v: coding.Params.Validate accepted it", f.name, v)
+			}
+			if feedsRx && rxCfg.Validate() == nil {
+				t.Errorf("%s %v: modem.RxConfig.Validate accepted it", f.name, v)
+			}
+			if _, _, err := srv.openSession(h); err == nil {
+				t.Errorf("%s %v: openSession opened a session", f.name, v)
+			}
+		}
+	}
+}
+
+// rsCode returns the RS code a valid HELLO sizes.
+func rsCode(t *testing.T, h Hello) *rs.Code {
+	t.Helper()
+	code, err := coding.Params{
+		SymbolRate: h.SymbolRate, FrameRate: h.FrameRate, LossRatio: h.LossRatio,
+		Order: csk.Order(h.Order), DataFraction: h.DataFraction,
+	}.LinkCodeErasure()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return code
 }

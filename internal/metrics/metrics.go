@@ -16,7 +16,6 @@ package metrics
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"math/rand"
 
@@ -338,7 +337,7 @@ func Run(p LinkParams) (LinkResult, error) {
 	sp = run.StartChild("metrics.decode")
 	var blocks []modem.Block
 	if p.Workers > 0 {
-		blocks, err = pipelineDecode(p.Workers, tel, rx, frames)
+		blocks, err = pipeline.DecodeAll(pipeline.Config{Workers: p.Workers, Telemetry: tel}, "metrics", rx, frames)
 		if err != nil {
 			return LinkResult{}, err
 		}
@@ -387,33 +386,6 @@ func runAdaptive(p LinkParams) (LinkResult, error) {
 		Health:     sr.Health,
 		LinkReport: sr.Report,
 	}, nil
-}
-
-// pipelineDecode runs the capture through the concurrent pipeline and
-// collects the (order-identical) decoded blocks.
-func pipelineDecode(workers int, tel *telemetry.Registry, rx *modem.Receiver, frames []*camera.Frame) ([]modem.Block, error) {
-	pl := pipeline.New(pipeline.Config{Workers: workers, Telemetry: tel})
-	s, err := pl.AddStream("metrics", rx)
-	if err != nil {
-		return nil, err
-	}
-	collected := make(chan []modem.Block, 1)
-	go func() {
-		var blocks []modem.Block
-		for b := range s.Blocks() {
-			blocks = append(blocks, b)
-		}
-		collected <- blocks
-	}()
-	for _, f := range frames {
-		if err := s.Submit(context.Background(), f); err != nil {
-			return nil, err
-		}
-	}
-	if err := pl.Close(context.Background()); err != nil {
-		return nil, err
-	}
-	return <-collected, nil
 }
 
 // score computes the result metrics from decoded blocks.

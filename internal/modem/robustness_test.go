@@ -213,13 +213,8 @@ func TestImpossibleSizeFieldRejectedEarly(t *testing.T) {
 	// random data slots with one gap in their middle.
 	rng := rand.New(rand.NewSource(29))
 	sizePacket := func(rx *Receiver, total, observed int) packet.RxPacket {
-		nSize, bps := packet.SizeSymbols(order), order.BitsPerSymbol()
-		v := total << (nSize*bps - packet.SizeBits)
-		var pkt packet.RxPacket
-		for i := nSize - 1; i >= 0; i-- {
-			sym := v >> (i * bps) & (int(order) - 1)
-			pkt.Slots = append(pkt.Slots, packet.RxSlot{Kind: packet.KindData, AB: rx.refs[sym]})
-		}
+		pkt := packet.RxPacket{Slots: sizeFieldSlots(rx, total)}
+		nSize := len(pkt.Slots)
 		for i := 0; i < observed; i++ {
 			pkt.Slots = append(pkt.Slots, packet.RxSlot{Kind: packet.KindData, AB: rx.refs[rng.Intn(int(order))]})
 		}
@@ -254,28 +249,36 @@ func TestImpossibleSizeFieldRejectedEarly(t *testing.T) {
 
 // frameTimings are FRAME timings from outside the process that once
 // crashed the receiver: a zero, negative or NaN RowTime, a NaN,
-// infinite or negative Exposure, and smear widths (Exposure/RowTime)
-// too large for an int. RowTime +Inf never crashed it. valid is what
-// camera.Frame.TimingValid, and so the ingest wire, says of each.
+// infinite or negative Exposure, smear widths (Exposure/RowTime) too
+// large for an int, and finite RowTimes so long that a symbol spans
+// less than one row, which once planned about Rows·RowTime·SymbolRate
+// symbols (6·10^13 at 1e9 s) and exhausted memory. RowTime +Inf never
+// crashed it. valid is what camera.Frame.TimingValid, and so the
+// ingest wire, says of each; empty is whether Analyze must plan
+// nothing.
 var frameTimings = []struct {
 	name              string
 	exposure, rowTime float64
-	valid             bool
+	valid, empty      bool
 }{
-	{"rowtime-zero", 1e-3, 0, false},
-	{"rowtime-negative", 1e-3, -1e-5, false},
-	{"rowtime-nan", 1e-3, math.NaN(), false},
-	{"rowtime-inf", 1e-3, math.Inf(1), false},
-	{"exposure-nan", math.NaN(), 1e-5, false},
-	{"exposure-inf", math.Inf(1), 1e-5, false},
-	{"exposure-negative", -1, 1e-5, false},
-	{"smear-overflow", 1e300, 1e-300, true},
-	{"rowtime-tiny", 1e-3, 1e-300, true},
+	{"rowtime-zero", 1e-3, 0, false, true},
+	{"rowtime-negative", 1e-3, -1e-5, false, true},
+	{"rowtime-nan", 1e-3, math.NaN(), false, true},
+	{"rowtime-inf", 1e-3, math.Inf(1), false, true},
+	{"exposure-nan", math.NaN(), 1e-5, false, true},
+	{"exposure-inf", math.Inf(1), 1e-5, false, true},
+	{"exposure-negative", -1, 1e-5, false, true},
+	{"smear-overflow", 1e300, 1e-300, true, false},
+	{"rowtime-tiny", 1e-3, 1e-300, true, false},
+	{"rowtime-1s", 1e-3, 1, true, true},
+	{"rowtime-1000s", 1e-3, 1000, true, true},
+	{"rowtime-1e9s", 1e-3, 1e9, true, true},
 }
 
 // TestAnalyzeSurvivesAnyFrameTiming feeds a 40×4 frame with each of
 // frameTimings through ProcessFrame: none may panic, and a timing
-// TimingValid rejects yields an empty analysis.
+// TimingValid rejects, or one whose symbol spans less than a row,
+// yields an empty analysis that classifies no symbol.
 func TestAnalyzeSurvivesAnyFrameTiming(t *testing.T) {
 	prof := camera.Ideal()
 	code, err := (coding.Params{
@@ -306,10 +309,15 @@ func TestAnalyzeSurvivesAnyFrameTiming(t *testing.T) {
 				t.Fatalf("TimingValid = %v, want %v", got, tc.valid)
 			}
 			a := rx.Analyze(f)
-			if !tc.valid && (len(a.bands) != 0 || a.hasOffLevel) {
-				t.Errorf("invalid timing planned %d bands", len(a.bands))
+			if tc.empty && (len(a.bands) != 0 || a.hasOffLevel) {
+				// Fatal: emitting the plan may not return.
+				t.Fatalf("planned %d bands, want none", len(a.bands))
 			}
+			before := rx.Stats().SymbolsIn
 			rx.Recycle(rx.ProcessAnalysis(a))
+			if got := rx.Stats().SymbolsIn - before; tc.empty && got != 0 {
+				t.Errorf("classified %d symbols, want none", got)
+			}
 		})
 	}
 }

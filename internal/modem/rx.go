@@ -131,15 +131,16 @@ func (c SelfHealConfig) withDefaults() SelfHealConfig {
 	return c
 }
 
-// Validate checks the configuration.
+// Validate checks the configuration. SymbolRate and WhiteFraction
+// must be finite: each range is tested in the form NaN fails.
 func (c RxConfig) Validate() error {
 	if !c.Order.Valid() {
 		return fmt.Errorf("modem: invalid order %d", int(c.Order))
 	}
-	if c.SymbolRate <= 0 {
+	if !(c.SymbolRate > 0 && c.SymbolRate < math.Inf(1)) {
 		return fmt.Errorf("modem: symbol rate %v", c.SymbolRate)
 	}
-	if c.WhiteFraction < 0 || c.WhiteFraction >= 1 {
+	if !(c.WhiteFraction >= 0 && c.WhiteFraction < 1) {
 		return fmt.Errorf("modem: white fraction %v", c.WhiteFraction)
 	}
 	if c.Code == nil {
@@ -340,20 +341,24 @@ type Receiver struct {
 // needs, reused across packets. All are private to the receiver's
 // single decode goroutine.
 type decodeScratch struct {
-	sizeIdx  []int           // size-field constellation indices
-	gaps     []int           // gap positions rebased past the size field
+	sizeIdx []int // size-field constellation indices
+
+	// The packet's geometry, set by packetGeometry.
+	layout     []bool          // reconstructed white/data slot layout
+	dataBefore []int           // dataBefore[s]: data slots in layout[:s]
+	observed   []packet.RxSlot // observed payload slots
+	gaps       []int           // gap positions rebased past the size field
+	missing    int             // slots the gaps swallowed in total
+	cls        []int           // per observed slot: its constellation index, or -1 until first classified
+
 	split    []int           // the hypothesized per-gap loss split
 	order    []int           // per-gap loss candidates, most even first
-	layout   []bool          // reconstructed white/data slot layout
-	erased   []bool          // per-byte erasure flags
-	erasures []int           // erased byte positions, ascending
-	filled   []int           // raw symbols with erasures zero-filled
-	cls      []int           // per observed data-packet slot: its constellation index, or -1 until first classified
-	cw       []byte          // unpacked (and descrambled) codeword
-	reenc    []byte          // re-encoded codeword for correction count
+	erasures []int           // the hypothesis's erased byte positions, ascending
+	cw       []byte          // built (descrambled) codeword, corrected in place by Decode
+	received []byte          // cw as built, before Decode: for correctionCount
 	calib    []colorspace.AB // permutation-corrected calibration colors
 	bounds   slotBounds      // declared slot counts that hold one codeword
-	sj       splitJudge      // syndrome-domain scoring of multi-gap splits
+	sj       splitJudge      // syndrome-domain scoring of loss guesses
 }
 
 // slotBounds caches, for one code, order and white fraction, the
@@ -369,37 +374,28 @@ type slotBounds struct {
 	lo, hi int
 }
 
-// splitJudge scores multi-gap loss-split hypotheses by their RS
-// syndromes instead of rebuilding each one's codeword (DESIGN.md §17).
-// The descrambled codeword is the scrambler mask XOR the packed bit
-// fields of its data symbols, and syndromes are linear over XOR, so a
-// hypothesis's syndromes are the mask's XOR one vector per observed
-// segment at that segment's shift. Segment k is the run of observed
-// slots between gap k−1 and gap k; under a split it lands split[0] +
-// … + split[k−1] layout slots later than with no loss. The first and
-// last segments land the same way in every hypothesis, so they fold
-// into base with the mask; the middle ones are memoized per (segment,
-// shift).
+// splitJudge scores loss guesses by their RS syndromes instead of
+// building each one's codeword (DESIGN.md §17). The descrambled
+// codeword is the scrambler mask XOR the packed bit fields of its data
+// symbols, and syndromes are linear over XOR, so a guess's syndromes
+// are the mask's XOR one vector per observed segment at that segment's
+// shift (see tryHypothesis). The first and last segments land the same
+// way under every split of one gap placement, so they fold into base
+// with the mask; the middle ones are memoized per (segment, shift).
 type splitJudge struct {
 	// Per code (rebuilt when the receiver's code changes).
 	code     *rs.Code
 	maskSynd []byte // syndromes of the scrambler mask over n bytes
-	word     []byte // n-byte packing scratch, all zero between uses
-	synd     []byte // the hypothesis being scored
+	word     []byte // n-byte placing scratch, all zero between uses
+	synd     []byte // the guess being scored
 	spill    []byte // a segment's vector past the memo's cap
 
-	// Per packet: set by reset, the rest by prepareSplitJudge at the
-	// packet's second hypothesis (the first always runs in full).
-	ready      bool
-	layout     []bool
-	observed   []packet.RxSlot
-	gaps       []int
-	missing    int
-	dataBefore []int  // dataBefore[s]: data slots in layout[:s]
-	base       []byte // maskSynd ⊕ segment 0 at shift 0 ⊕ the last segment at shift missing
-	memo       []byte // vector of middle segment k at shift L at (k−1)·(missing+1)+L
-	have       []bool // which memo vectors are filled
-	eras       []int  // the hypothesis's erased byte positions, ascending
+	// Per gap placement: cleared by packetGeometry and moveGap, the
+	// rest set by prepareJudge at the placement's first guess.
+	ready bool
+	base  []byte // maskSynd ⊕ segment 0 at shift 0 ⊕ the last segment at shift missing
+	memo  []byte // vector of middle segment k at shift L at (k−1)·(missing+1)+L
+	have  []bool // which memo vectors are filled
 }
 
 // maxSplitMemo caps the bytes of segment syndrome vectors the split
@@ -797,6 +793,13 @@ func (r *Receiver) Analyze(f *camera.Frame) *Analysis {
 		return a
 	}
 	rowsPerSym := 1 / (r.cfg.SymbolRate * f.RowTime)
+	if !(rowsPerSym >= 1) {
+		// A symbol shorter than one scanline cannot form a band. A huge
+		// finite RowTime lands here too, where the plan would otherwise
+		// grow to about Rows·RowTime·SymbolRate symbols; from here on a
+		// frame plans at most about 2·Rows.
+		return a
+	}
 	// From 2·Rows up, every smear width segments alike: bandColor keeps
 	// each band's middle row and segment's window spans the frame. The
 	// clamp keeps a huge ratio (a tiny RowTime) from overflowing an
@@ -1174,56 +1177,23 @@ func (r *Receiver) handlePacket(pkt packet.RxPacket, blk *Block) bool {
 	return false
 }
 
-// correctionCount estimates how many unknown-position byte errors the
-// RS decoder corrected in a recovered block: the decoded data is
-// re-encoded and diffed against the received codeword at the
-// non-erased positions. (The rs decoder does not expose its error
-// locator, but a systematic code makes the count recoverable this
-// way.) Only called when a linkstats collector is attached.
+// correctionCount counts the unknown-position byte errors the RS
+// decoder corrected in a recovered block: the bytes where the winning
+// hypothesis's codeword as built (ds.received) differs from the
+// corrected one (ds.cw), outside its erasures (ds.erasures). All three
+// are still on decode scratch, since handlePacket calls this right
+// after decodeData. Only called when a linkstats collector is
+// attached.
 func (r *Receiver) correctionCount(b *Block) int {
-	if !b.Recovered || b.Data == nil {
+	if !b.Recovered {
 		return 0
 	}
 	ds := &r.ds
-	n := r.cfg.Code.N()
-	c := r.cfg.Order.BitsPerSymbol()
-	erased := ds.erased
-	if cap(erased) < n {
-		erased = make([]bool, n)
-	}
-	erased = erased[:n]
-	for i := range erased {
-		erased[i] = false
-	}
-	ds.erased = erased
-	filled := ds.filled[:0]
-	for i, s := range b.RawSymbols {
-		if s < 0 {
-			firstByte := i * c / 8
-			lastByte := ((i+1)*c - 1) / 8
-			for by := firstByte; by <= lastByte && by < n; by++ {
-				erased[by] = true
-			}
-			filled = append(filled, 0)
-		} else {
-			filled = append(filled, s)
-		}
-	}
-	ds.filled = filled
-	received, err := r.cfg.Order.AppendUnpack(ds.cw[:0], filled, n)
-	if err != nil {
-		return 0
-	}
-	ds.cw = received
-	packet.ScrambleInPlace(received) // undo payload whitening
-	reenc, err := r.cfg.Code.EncodeInto(ds.reenc[:0], b.Data)
-	if err != nil || len(reenc) != len(received) {
-		return 0
-	}
-	ds.reenc = reenc
-	diffs := 0
-	for i := range reenc {
-		if !erased[i] && reenc[i] != received[i] {
+	diffs, e := 0, 0
+	for i, v := range ds.received {
+		if e < len(ds.erasures) && ds.erasures[e] == i {
+			e++
+		} else if v != ds.cw[i] {
 			diffs++
 		}
 	}
@@ -1237,54 +1207,23 @@ func (r *Receiver) correctionCount(b *Block) int {
 // splits, letting the Reed-Solomon syndrome check reject wrong
 // guesses.
 func (r *Receiver) decodeData(pkt packet.RxPacket, blk *Block) {
-	ds := &r.ds
-	layout, observed, gaps, missing, ok := r.packetGeometry(pkt)
-	if !ok {
+	if !r.packetGeometry(pkt) {
 		return
 	}
-	n := r.cfg.Code.N()
+	ds := &r.ds
+	gaps, missing := ds.gaps, ds.missing
 
 	// Try loss splits across the gaps, most even first. With zero or
 	// one gap there is exactly one split, whose erasure positions are
 	// certain — that single deterministic attempt may consume the
 	// code's full parity. Every further attempt (multi-gap splits,
 	// position jitter) is a guess and must leave verification slack so
-	// a wrong guess cannot masquerade as a valid decode (see rsDecode).
-	//
-	// The whole search — the single deterministic split and the
-	// multi-gap enumeration — runs on decode scratch (ds.split,
+	// a wrong guess cannot masquerade as a valid decode (see
+	// erasureLimit). The whole search runs on decode scratch (ds.split,
 	// ds.order), allocation-free.
-	recovered := false
-	split := ds.split
-	if cap(split) < len(gaps) {
-		split = make([]int, len(gaps))
-	}
-	split = split[:len(gaps)]
+	split := slices.Grow(ds.split[:0], len(gaps))[:len(gaps)]
 	ds.split = split
-	if len(gaps) <= 1 {
-		if len(gaps) == 1 {
-			split[0] = missing
-		}
-		recovered = r.trySplit(blk, layout, observed, gaps, split, n, false)
-		if !recovered && len(gaps) == 1 && missing > 0 {
-			// Band miscounting can offset the gap's apparent position
-			// by a slot or two; these retries are guesses, so they
-			// require verification slack.
-			base := gaps[0]
-			for _, delta := range [...]int{-1, 1, -2, 2, -3, 3} {
-				g := base + delta
-				if g < 0 || g > len(observed) {
-					continue
-				}
-				gaps[0] = g
-				if r.trySplit(blk, layout, observed, gaps, split, n, true) {
-					recovered = true
-					break
-				}
-			}
-			gaps[0] = base
-		}
-	} else {
+	if len(gaps) > 1 {
 		// Per-gap candidate losses ordered by distance from the even
 		// share (the sequence forEachSplit in split_test.go specifies:
 		// gaps have equal durations, so even splits are overwhelmingly
@@ -1306,28 +1245,47 @@ func (r *Receiver) decodeData(pkt packet.RxPacket, blk *Block) {
 			}
 		}
 		ds.order = order
-		ds.sj.reset(layout, observed, gaps, missing)
 		tries := 0
-		recovered = r.searchSplits(blk, layout, observed, gaps, order, split, n, 0, missing, &tries)
+		blk.Recovered = r.searchSplits(blk, order, split, 0, missing, &tries)
+		return
 	}
-	blk.Recovered = recovered
+	if len(gaps) == 1 {
+		split[0] = missing
+	}
+	blk.Recovered = r.tryHypothesis(blk, split, true)
+	if blk.Recovered || len(gaps) == 0 || missing == 0 {
+		return
+	}
+	// Band miscounting can offset the gap's apparent position by a slot
+	// or two; these retries are guesses.
+	at := gaps[0]
+	for _, delta := range [...]int{-1, 1, -2, 2, -3, 3} {
+		if g := at + delta; g >= 0 && g <= len(ds.observed) {
+			r.moveGap(g)
+			if r.tryHypothesis(blk, split, false) {
+				blk.Recovered = true
+				return
+			}
+		}
+	}
 }
 
-// packetGeometry decodes a data packet's size field and returns the
-// packet's slot layout (on decode scratch), its observed payload
-// slots, its gap positions rebased past the size field, and how many
-// slots the gaps swallowed in total, and clears the classification
-// memo for the observed slots. ok is false when the packet cannot hold
-// one codeword as declared: the size field fails to decode, declares a
-// slot count whose layout holds more or fewer data symbols than one
-// codeword, or declares fewer slots than were observed; or a gap lies
-// outside the payload or before the one listed ahead of it (the
-// deframer lists gaps ascending).
-func (r *Receiver) packetGeometry(pkt packet.RxPacket) (layout []bool, observed []packet.RxSlot, gaps []int, missing int, ok bool) {
+// packetGeometry decodes a data packet's size field and sets the
+// packet's geometry on decode scratch: its slot layout and data-slot
+// prefix, its observed payload slots, its gap positions rebased past
+// the size field, and how many slots the gaps swallowed in total. It
+// clears the classification memo for the observed slots and the
+// judge. It reports false when the packet cannot hold one codeword as
+// declared: the size field fails to decode, declares a slot count
+// whose layout holds more or fewer data symbols than one codeword, or
+// declares fewer slots than were observed; or a gap lies outside the
+// payload or before the one listed ahead of it (the deframer lists
+// gaps ascending).
+func (r *Receiver) packetGeometry(pkt packet.RxPacket) bool {
 	ds := &r.ds
 	nSize := packet.SizeSymbols(r.cfg.Order)
 	if len(pkt.Slots) < nSize {
-		return nil, nil, nil, 0, false
+		return false
 	}
 	// Match and decode the size field.
 	sizeIdx := ds.sizeIdx[:0]
@@ -1338,23 +1296,23 @@ func (r *Receiver) packetGeometry(pkt packet.RxPacket) (layout []bool, observed 
 	totalSlots, err := r.pktCfg.DecodeSizeField(sizeIdx)
 	if err != nil {
 		r.c.sizeFieldBad.Inc()
-		return nil, nil, nil, 0, false
+		return false
 	}
 	// A declared size outside [lo, hi) does not correspond to one
 	// codeword: corrupt size field. Rejecting it before the layout is
 	// built keeps a bad 15-bit field from growing the layout scratch
 	// to 32767 slots.
 	if lo, hi := r.codewordSlots(); totalSlots < lo || totalSlots >= hi {
-		return nil, nil, nil, 0, false
+		return false
 	}
 
-	observed = pkt.Slots[nSize:]
-	missing = totalSlots - len(observed)
+	observed := pkt.Slots[nSize:]
+	missing := totalSlots - len(observed)
 	if missing < 0 {
 		// More slots observed than declared: corrupt size field.
-		return nil, nil, nil, 0, false
+		return false
 	}
-	gaps = ds.gaps[:0]
+	gaps := ds.gaps[:0]
 	for _, g := range pkt.Gaps {
 		gaps = append(gaps, g-nSize)
 	}
@@ -1366,29 +1324,34 @@ func (r *Receiver) packetGeometry(pkt packet.RxPacket) (layout []bool, observed 
 	ds.gaps = gaps
 	for i, g := range gaps {
 		if g < 0 || g > len(observed) || i > 0 && g < gaps[i-1] {
-			return nil, nil, nil, 0, false
+			return false
 		}
 	}
+	ds.observed, ds.missing = observed, missing
 
 	// Reconstruct the slot kinds for the whole packet from the shared
-	// layout rule.
-	layout = packet.AppendWhiteLayout(ds.layout[:0], totalSlots, r.cfg.WhiteFraction)
-	ds.layout = layout
+	// layout rule, and count the data slots ahead of each slot.
+	ds.layout = packet.AppendWhiteLayout(ds.layout[:0], totalSlots, r.cfg.WhiteFraction)
+	before := append(ds.dataBefore[:0], 0)
+	for _, white := range ds.layout {
+		d := before[len(before)-1]
+		if !white {
+			d++
+		}
+		before = append(before, d)
+	}
+	ds.dataBefore = before
 
-	// Every split hypothesis classifies the same observed slots against
-	// the same references and equalizer (neither changes inside a
-	// packet), so each slot is classified once, on first use, and the
-	// index is reused by every later hypothesis (DESIGN.md §17).
-	cls := ds.cls
-	if cap(cls) < len(observed) {
-		cls = make([]int, len(observed))
+	// Every hypothesis classifies the same observed slots against the
+	// same references and equalizer (neither changes inside a packet),
+	// so each slot is classified once, on first use, and the index is
+	// reused by every later hypothesis (DESIGN.md §17).
+	ds.cls = slices.Grow(ds.cls[:0], len(observed))[:len(observed)]
+	for i := range ds.cls {
+		ds.cls[i] = -1
 	}
-	cls = cls[:len(observed)]
-	for i := range cls {
-		cls[i] = -1
-	}
-	ds.cls = cls
-	return layout, observed, gaps, missing, true
+	ds.sj.ready = false
+	return true
 }
 
 // codewordSlots returns the declared payload slot counts [lo, hi)
@@ -1414,35 +1377,23 @@ const maxSplitTries = 2000
 
 // searchSplits recursively enumerates multi-gap loss splits in
 // most-even-first order (the sequence forEachSplit produces) on the
-// decode scratch, trying each against the RS decoder until one
-// verifies or the budget runs out. Verification slack is always
-// required here: every multi-gap split is a guess. The first split
-// runs in full, since a packet that decodes nowhere keeps its symbols
-// for SER accounting; every later one is scored by its syndromes
-// (splitPasses), and only one that passes is rebuilt and decoded, so
-// the block and the rx.rs_attempts count are those of running every
-// split in full.
-func (r *Receiver) searchSplits(blk *Block, layout []bool, observed []packet.RxSlot, gaps, order, split []int, n, idx, remaining int, tries *int) bool {
-	if idx == len(gaps)-1 {
+// decode scratch, trying each until one decodes or the budget runs
+// out.
+func (r *Receiver) searchSplits(blk *Block, order, split []int, idx, remaining int, tries *int) bool {
+	if idx == len(split)-1 {
 		if *tries >= maxSplitTries {
 			return false
 		}
 		*tries++
 		split[idx] = remaining
-		if *tries > 1 && !r.splitPasses(split) {
-			// rsDecode would reject this split; it still counts as an
-			// attempt.
-			r.c.rsAttempts.Inc()
-			return false
-		}
-		return r.trySplit(blk, layout, observed, gaps, split, n, true)
+		return r.tryHypothesis(blk, split, *tries == 1)
 	}
 	for _, v := range order {
 		if v > remaining {
 			continue
 		}
 		split[idx] = v
-		if r.searchSplits(blk, layout, observed, gaps, order, split, n, idx+1, remaining-v, tries) {
+		if r.searchSplits(blk, order, split, idx+1, remaining-v, tries) {
 			return true
 		}
 		if *tries >= maxSplitTries {
@@ -1452,152 +1403,64 @@ func (r *Receiver) searchSplits(blk *Block, layout []bool, observed []packet.RxS
 	return false
 }
 
-// trySplit attempts one hypothesized loss split: assemble the symbol
-// stream, RS-decode, and on success store the result in blk. The
-// first assembly (most even, most likely) is kept for SER accounting
-// even if no split decodes; buffers from superseded attempts return
-// to the free-lists.
-func (r *Receiver) trySplit(blk *Block, layout []bool, observed []packet.RxSlot, gaps, split []int, n int, needSlack bool) bool {
-	raw, erasures, symbolsObserved := r.assembleSymbols(layout, observed, gaps, split, n)
-	data, decodeOK := r.rsDecode(raw, erasures, n, needSlack)
-	if !decodeOK {
+// moveGap places a single-gap packet's gap at observed slot g. The
+// judge's base vector depends on where the gap cuts the observed
+// slots, so it is prepared again at the next guess.
+func (r *Receiver) moveGap(g int) {
+	r.ds.gaps[0] = g
+	r.ds.sj.ready = false
+}
+
+// tryHypothesis runs one loss hypothesis on the packet in decode
+// scratch, and counts it as one RS attempt. Observed segment k, the
+// run of observed slots between gap k−1 and gap k, lands split[0] + …
+// + split[k−1] layout slots later than with no loss, and gap k's lost
+// slots erase the codeword bytes their data symbols touch
+// (lossErasures). The packet's first hypothesis is built and decoded
+// in full: when nothing decodes, its RawSymbols feed SER accounting.
+// Every later one is a guess, judged by its syndromes (DESIGN.md §17)
+// and built only if it passes, so blk ends as if every hypothesis had
+// been built and decoded in turn.
+func (r *Receiver) tryHypothesis(blk *Block, split []int, first bool) bool {
+	r.c.rsAttempts.Inc()
+	ds := &r.ds
+	eras := r.lossErasures(split)
+	if r.cfg.NoErasureDecoding {
+		eras = nil
+	}
+	certain := first && len(ds.gaps) <= 1
+	fits := len(eras) <= r.erasureLimit(!certain)
+	if !first && (!fits || !r.dec.CheckSyndromes(r.guessSyndromes(split), eras)) {
+		return false
+	}
+	raw, observed := r.buildCodeword(split)
+	ds.received = append(ds.received[:0], ds.cw...)
+	var data []byte // nil unless Decode succeeds
+	if fits {
+		data, _ = r.dec.Decode(ds.cw, eras)
+	}
+	if data == nil {
 		if blk.RawSymbols == nil {
-			blk.RawSymbols = raw
-			blk.Erasures = len(erasures)
-			blk.SymbolsObserved = symbolsObserved
+			blk.RawSymbols, blk.Erasures, blk.SymbolsObserved = raw, len(ds.erasures), observed
 		} else {
 			r.putRawBuf(raw)
 		}
 		return false
 	}
-	if blk.RawSymbols != nil && &blk.RawSymbols[0] != &raw[0] {
-		r.putRawBuf(blk.RawSymbols)
-	}
-	blk.RawSymbols = raw
-	blk.Erasures = len(erasures)
-	blk.SymbolsObserved = symbolsObserved
-	blk.Data = data
+	r.putRawBuf(blk.RawSymbols)
+	blk.RawSymbols, blk.Erasures, blk.SymbolsObserved = raw, len(ds.erasures), observed
+	blk.Data = append(r.getDataBuf(), data...)
 	return true
 }
 
-// assembleSymbols walks the packet's slots for one hypothesized loss
-// split (split[i] slots lost at gap i), returning the matched
-// constellation indices (-1 = erased), the byte-level erasure
-// positions, and the observed-symbol count.
-//
-// raw comes from the receiver's free-list (it outlives the call as
-// Block.RawSymbols); erasures is scratch, ascending (the RS decoder
-// is order-independent: the erasure locator is a commutative product
-// over positions).
-func (r *Receiver) assembleSymbols(layout []bool, observed []packet.RxSlot, gaps, split []int, n int) (raw []int, erasures []int, symbolsObserved int) {
-	ds := &r.ds
-	c := r.cfg.Order.BitsPerSymbol()
-	erased := ds.erased
-	if cap(erased) < n {
-		erased = make([]bool, n)
-	}
-	erased = erased[:n]
-	for i := range erased {
-		erased[i] = false
-	}
-	ds.erased = erased
-	raw = r.getRawBuf()
-	oi := 0          // next observed slot
-	gi := 0          // next gap
-	pendingLoss := 0 // slots still missing at the current position
-	for gi < len(gaps) && gaps[gi] == oi {
-		pendingLoss += split[gi]
-		gi++
-	}
-	for slot := 0; slot < len(layout); slot++ {
-		fromGap := pendingLoss > 0
-		if fromGap {
-			pendingLoss--
-		}
-		if layout[slot] {
-			// Illumination slot: consume an observed slot when it was
-			// not lost; nothing to demodulate either way.
-			if !fromGap && oi < len(observed) {
-				oi++
-			}
-		} else {
-			if fromGap || oi >= len(observed) {
-				symIdx := len(raw)
-				firstByte := symIdx * c / 8
-				lastByte := ((symIdx+1)*c - 1) / 8
-				for by := firstByte; by <= lastByte && by < n; by++ {
-					erased[by] = true
-				}
-				raw = append(raw, -1)
-			} else {
-				raw = append(raw, r.slotClass(observed, oi))
-				oi++
-				symbolsObserved++
-			}
-		}
-		if pendingLoss == 0 {
-			for gi < len(gaps) && gaps[gi] == oi {
-				pendingLoss += split[gi]
-				gi++
-			}
-		}
-	}
-	erasures = ds.erasures[:0]
-	for by := 0; by < n; by++ {
-		if erased[by] {
-			erasures = append(erasures, by)
-		}
-	}
-	ds.erasures = erasures
-	return raw, erasures, symbolsObserved
-}
-
-// rsDecode converts matched symbols into the codeword and runs the RS
-// decoder with the byte erasures. needSlack marks speculative decode
-// attempts, which must leave spare parity for verification.
-func (r *Receiver) rsDecode(raw []int, erasures []int, n int, needSlack bool) ([]byte, bool) {
-	r.c.rsAttempts.Inc()
-	eras := erasures
-	if r.cfg.NoErasureDecoding {
-		eras = nil
-	}
-	// Erasure decoding with exactly n−k erasures is an exactly
-	// determined system: it "succeeds" for ANY erasure positions,
-	// yielding a valid-syndrome but wrong codeword when the positions
-	// are wrong. Deterministic attempts (positions known from the
-	// single gap) may use the full parity; speculative attempts must
-	// leave slack: with s spare parity bytes, a wrong guess passes
-	// only with probability ~2^(-8s). The budget is tested before the
-	// codeword is built, so a hypothesis past it costs nothing more.
-	if len(eras) > r.erasureLimit(needSlack) {
-		return nil, false
-	}
-	ds := &r.ds
-	filled := ds.filled[:0]
-	for _, s := range raw {
-		if s < 0 {
-			filled = append(filled, 0)
-		} else {
-			filled = append(filled, s)
-		}
-	}
-	ds.filled = filled
-	codeword, err := r.cfg.Order.AppendUnpack(ds.cw[:0], filled, n)
-	if err != nil {
-		return nil, false
-	}
-	ds.cw = codeword
-	packet.ScrambleInPlace(codeword) // undo payload whitening
-	data, err := r.dec.Decode(codeword, eras)
-	if err != nil {
-		return nil, false
-	}
-	return append(r.getDataBuf(), data...), true
-}
-
 // erasureLimit is the most erasures an RS attempt may declare: the
-// code's parity, less 4 bytes of verification slack for a speculative
-// attempt (see rsDecode).
+// code's parity, less 4 bytes of verification slack for a guess.
+// Erasure decoding with exactly n−k erasures is an exactly determined
+// system: it "succeeds" for ANY erasure positions, yielding a
+// valid-syndrome but wrong codeword when the positions are wrong. The
+// certain attempt (positions known from a single gap) may use the full
+// parity; with s spare parity bytes, a wrong guess passes only with
+// probability ~2^(-8s).
 func (r *Receiver) erasureLimit(needSlack bool) int {
 	if needSlack {
 		return r.cfg.Code.ParityBytes() - 4
@@ -1605,42 +1468,20 @@ func (r *Receiver) erasureLimit(needSlack bool) int {
 	return r.cfg.Code.ParityBytes()
 }
 
-// slotClass returns observed slot o's constellation index, classified
-// on first use and memoized in ds.cls for the packet's later
-// hypotheses.
-func (r *Receiver) slotClass(observed []packet.RxSlot, o int) int {
-	idx := r.ds.cls[o]
-	if idx < 0 {
-		idx = csk.NearestAB(r.eqAB(observed[o].AB), r.refs)
-		r.ds.cls[o] = idx
-	}
-	return idx
-}
-
-// reset starts a packet's split search; the judge sets itself up at
-// the packet's second hypothesis.
-func (sj *splitJudge) reset(layout []bool, observed []packet.RxSlot, gaps []int, missing int) {
-	sj.ready = false
-	sj.layout, sj.observed, sj.gaps, sj.missing = layout, observed, gaps, missing
-}
-
-// splitPasses scores one multi-gap loss split by its syndromes: false
-// means rsDecode would reject it, true that it passes. The erasures and
-// the verdict are rsDecode's: each gap's lost layout range erases the
-// bytes its data symbols touch, as in assembleSymbols, the erasure
-// budget is the same, and Decoder.CheckSyndromes gives Decode's
-// verdict.
-func (r *Receiver) splitPasses(split []int) bool {
-	sj := &r.ds.sj
-	if !sj.ready {
-		r.prepareSplitJudge()
-	}
+// lossErasures lists in ds.erasures, ascending, the codeword bytes a
+// hypothesis erases. Gap k loses layout slots
+// [g_k + L_k, g_k + L_k + split[k]), L_k the slots lost before it; the
+// data-slot prefix turns them into data symbols [D_a, D_b), which
+// touch bytes [D_a·c/8, (D_b·c−1)/8] ∩ [0, n). Two gaps' ranges may
+// share a byte. O(gaps): no layout walk.
+func (r *Receiver) lossErasures(split []int) []int {
+	ds := &r.ds
 	c := r.cfg.Order.BitsPerSymbol()
-	n := len(sj.word)
-	eras := sj.eras[:0]
-	shift := 0 // layout slots lost before the current gap
-	for k, g := range sj.gaps {
-		first, end := sj.dataBefore[g+shift], sj.dataBefore[g+shift+split[k]]
+	n := r.cfg.Code.N()
+	eras := ds.erasures[:0]
+	shift := 0
+	for k, g := range ds.gaps {
+		first, end := ds.dataBefore[g+shift], ds.dataBefore[g+shift+split[k]]
 		shift += split[k]
 		if first == end {
 			continue
@@ -1653,31 +1494,118 @@ func (r *Receiver) splitPasses(split []int) bool {
 			eras = append(eras, by)
 		}
 	}
-	sj.eras = eras
-	if r.cfg.NoErasureDecoding {
-		eras = nil
+	ds.erasures = eras
+	return eras
+}
+
+// buildCodeword builds a hypothesis's codeword in ds.cw, descrambled,
+// from every observed segment at its shift. It returns the codeword's
+// constellation indices in a RawSymbols buffer from the free-list, -1
+// where lost, and how many it observed.
+func (r *Receiver) buildCodeword(split []int) (raw []int, observed int) {
+	ds := &r.ds
+	d := ds.dataBefore[len(ds.layout)]
+	raw = slices.Grow(r.getRawBuf(), d)[:d]
+	for i := range raw {
+		raw[i] = -1
 	}
-	if len(eras) > r.erasureLimit(true) {
-		return false
+	n := r.cfg.Code.N()
+	cw := slices.Grow(ds.cw[:0], n)[:n]
+	clear(cw)
+	shift := 0
+	for k := 0; k <= len(ds.gaps); k++ {
+		if k > 0 {
+			shift += split[k-1]
+		}
+		r.placeSegment(cw, raw, k, shift)
+	}
+	packet.ScrambleInPlace(cw) // undo payload whitening
+	ds.cw = cw
+	for _, s := range raw {
+		if s >= 0 {
+			observed++
+		}
+	}
+	return raw, observed
+}
+
+// placeSegment ORs into word the constellation indices of observed
+// segment k's data slots, placed shift layout slots late. Each index's
+// bits go where AppendUnpack packs them: MSB first, so a 3- or 5-bit
+// symbol may straddle two bytes, and bits past the word's end are
+// dropped. Given raw, it also writes each index there. It returns the
+// byte range [lo, hi) it touched (empty when lo ≥ hi).
+func (r *Receiver) placeSegment(word []byte, raw []int, k, shift int) (lo, hi int) {
+	ds := &r.ds
+	from, to := 0, len(ds.observed)
+	if k > 0 {
+		from = ds.gaps[k-1]
+	}
+	if k < len(ds.gaps) {
+		to = ds.gaps[k]
+	}
+	c := r.cfg.Order.BitsPerSymbol()
+	lo = len(word)
+	for o := from; o < to; o++ {
+		s := o + shift
+		if ds.layout[s] {
+			continue
+		}
+		idx := r.slotClass(o)
+		if raw != nil {
+			raw[ds.dataBefore[s]] = idx
+		}
+		bit := ds.dataBefore[s] * c
+		b := bit / 8
+		x := idx << (16 - c - bit%8)
+		word[b] |= byte(x >> 8)
+		hi = b + 1
+		if b+1 < len(word) {
+			word[b+1] |= byte(x)
+			hi = b + 2
+		}
+		lo = min(lo, b)
+	}
+	return lo, hi
+}
+
+// slotClass returns observed slot o's constellation index, classified
+// on first use and memoized in ds.cls for the packet's later
+// hypotheses.
+func (r *Receiver) slotClass(o int) int {
+	idx := r.ds.cls[o]
+	if idx < 0 {
+		idx = csk.NearestAB(r.eqAB(r.ds.observed[o].AB), r.refs)
+		r.ds.cls[o] = idx
+	}
+	return idx
+}
+
+// guessSyndromes returns a guess's syndromes: the placement's base
+// vector XOR each middle segment's vector at its shift. The vector is
+// valid until the next call.
+func (r *Receiver) guessSyndromes(split []int) []byte {
+	sj := &r.ds.sj
+	if !sj.ready {
+		r.prepareJudge()
 	}
 	synd := append(sj.synd[:0], sj.base...)
-	shift = 0
-	for k := 1; k < len(sj.gaps); k++ {
+	shift := 0
+	for k := 1; k < len(r.ds.gaps); k++ {
 		shift += split[k-1]
-		v := r.segmentSyndromes(k, shift)
-		for i := range synd {
-			synd[i] ^= v[i]
+		for i, v := range r.segmentSyndromes(k, shift) {
+			synd[i] ^= v
 		}
 	}
 	sj.synd = synd
-	return r.dec.CheckSyndromes(synd, eras)
+	return synd
 }
 
-// prepareSplitJudge sets the judge up for the current packet: the
-// per-code mask syndromes, the data-slot prefix over the layout, the
-// base vector and an empty memo.
-func (r *Receiver) prepareSplitJudge() {
-	sj := &r.ds.sj
+// prepareJudge sets the judge up for the current gap placement: the
+// per-code mask syndromes, the base vector and an empty memo.
+func (r *Receiver) prepareJudge() {
+	ds := &r.ds
+	sj := &ds.sj
 	sj.ready = true
 	code := r.cfg.Code
 	w := code.ParityBytes()
@@ -1692,19 +1620,10 @@ func (r *Receiver) prepareSplitJudge() {
 		sj.synd = make([]byte, 0, w)
 		sj.spill = make([]byte, w)
 	}
-	before := append(sj.dataBefore[:0], 0)
-	for _, white := range sj.layout {
-		d := before[len(before)-1]
-		if !white {
-			d++
-		}
-		before = append(before, d)
-	}
-	sj.dataBefore = before
 	copy(sj.base, sj.maskSynd)
-	r.addSegmentSyndromes(sj.base, 0, sj.gaps[0], 0)
-	r.addSegmentSyndromes(sj.base, sj.gaps[len(sj.gaps)-1], len(sj.observed), sj.missing)
-	stored := min((len(sj.gaps)-1)*(sj.missing+1), maxSplitMemo/w)
+	r.addSegmentSyndromes(sj.base, 0, 0)
+	r.addSegmentSyndromes(sj.base, len(ds.gaps), ds.missing)
+	stored := min((len(ds.gaps)-1)*(ds.missing+1), maxSplitMemo/w)
 	sj.memo = slices.Grow(sj.memo[:0], stored*w)[:stored*w]
 	sj.have = slices.Grow(sj.have[:0], stored)[:stored]
 	clear(sj.have)
@@ -1716,48 +1635,26 @@ func (r *Receiver) prepareSplitJudge() {
 func (r *Receiver) segmentSyndromes(k, shift int) []byte {
 	sj := &r.ds.sj
 	w := len(sj.base)
-	i := (k-1)*(sj.missing+1) + shift
+	i := (k-1)*(r.ds.missing+1) + shift
 	if i >= len(sj.have) {
 		clear(sj.spill)
-		r.addSegmentSyndromes(sj.spill, sj.gaps[k-1], sj.gaps[k], shift)
+		r.addSegmentSyndromes(sj.spill, k, shift)
 		return sj.spill
 	}
 	v := sj.memo[i*w : i*w+w]
 	if !sj.have[i] {
 		clear(v)
-		r.addSegmentSyndromes(v, sj.gaps[k-1], sj.gaps[k], shift)
+		r.addSegmentSyndromes(v, k, shift)
 		sj.have[i] = true
 	}
 	return v
 }
 
-// addSegmentSyndromes XORs into synd the syndromes of observed slots
-// [from, to) landing at layout slot o+shift. Each data symbol's bits
-// go where AppendUnpack packs them: MSB first, so a 3- or 5-bit symbol
-// may straddle two bytes, and bits past the codeword's n bytes are
-// dropped.
-func (r *Receiver) addSegmentSyndromes(synd []byte, from, to, shift int) {
-	sj := &r.ds.sj
-	c := r.cfg.Order.BitsPerSymbol()
-	word := sj.word
-	lo, hi := len(word), 0
-	for o := from; o < to; o++ {
-		s := o + shift
-		if sj.layout[s] {
-			continue
-		}
-		bit := sj.dataBefore[s] * c
-		b := bit / 8
-		x := r.slotClass(sj.observed, o) << (16 - c - bit%8)
-		word[b] |= byte(x >> 8)
-		hi = b + 1
-		if b+1 < len(word) {
-			word[b+1] |= byte(x)
-			hi = b + 2
-		}
-		lo = min(lo, b)
-	}
-	if lo < hi {
+// addSegmentSyndromes XORs into synd the syndromes of observed segment
+// k placed shift layout slots late.
+func (r *Receiver) addSegmentSyndromes(synd []byte, k, shift int) {
+	word := r.ds.sj.word
+	if lo, hi := r.placeSegment(word, nil, k, shift); lo < hi {
 		r.cfg.Code.AddSyndromes(synd, word[lo:hi], lo)
 		clear(word[lo:hi])
 	}

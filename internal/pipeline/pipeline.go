@@ -711,3 +711,34 @@ func (p *Pipeline) Abort() {
 	p.jobsOnce.Do(func() { close(p.jobs) })
 	p.workerWG.Wait()
 }
+
+// DecodeAll decodes frames, in capture order, through a new pipeline
+// with one stream and returns the stream's blocks in order. id names
+// the stream, and so its gauges in cfg.Telemetry. The pipeline is shut
+// down before DecodeAll returns.
+func DecodeAll(cfg Config, id string, rx *modem.Receiver, frames []*camera.Frame) ([]modem.Block, error) {
+	p := New(cfg)
+	s, err := p.AddStream(id, rx)
+	if err != nil {
+		p.Abort()
+		return nil, err
+	}
+	collected := make(chan []modem.Block, 1)
+	go func() {
+		var blocks []modem.Block
+		for b := range s.Blocks() {
+			blocks = append(blocks, b)
+		}
+		collected <- blocks
+	}()
+	for _, f := range frames {
+		if err := s.Submit(context.Background(), f); err != nil {
+			p.Abort()
+			return nil, err
+		}
+	}
+	if err := p.Close(context.Background()); err != nil {
+		return nil, err
+	}
+	return <-collected, nil
+}

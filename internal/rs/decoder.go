@@ -17,13 +17,13 @@ import (
 // every step is exact GF(2^8) arithmetic, independent of buffer
 // reuse.
 //
-// Every polynomial evaluation — both syndrome passes, the Chien
-// search and Forney's numerator and denominator — is a sum of
-// products, each one load from the code's power tables and one from
-// gf256's product table. The products are independent of each other,
-// unlike a Horner chain, where each step waits on the previous
-// multiply. The sums are the same field elements Horner computes, so
-// the result is bit-identical (DESIGN.md §17).
+// Every polynomial evaluation — the syndromes, the Chien search,
+// Forney's numerator and denominator and the syndrome-domain check —
+// is a sum of products, each one load from the code's power tables
+// and one from gf256's product table. The products are independent
+// of each other, unlike a Horner chain, where each step waits on the
+// previous multiply. The sums are the same field elements Horner
+// computes, so the result is bit-identical (DESIGN.md §17).
 type Decoder struct {
 	c *Code
 
@@ -73,37 +73,21 @@ func (d *Decoder) Decode(codeword []byte, erasures []int) ([]byte, error) {
 	if len(erasures) > c.n-c.k {
 		return nil, ErrTooManyErrors
 	}
-
-	c.syndromesInto(d.synd, codeword)
-	if allZero(d.synd) {
-		return codeword[:c.k], nil
-	}
-	loc, positions, err := d.locate(erasures)
-	if err != nil {
+	clear(d.synd)
+	c.AddSyndromes(d.synd, codeword, 0)
+	if err := d.correct(codeword, erasures); err != nil {
 		return nil, err
-	}
-	if err := d.forneyCorrect(codeword, loc, positions); err != nil {
-		return nil, err
-	}
-	// Re-verify: a miscorrection leaves nonzero syndromes.
-	c.syndromesInto(d.verify, codeword)
-	if !allZero(d.verify) {
-		return nil, ErrTooManyErrors
 	}
 	return codeword[:c.k], nil
 }
 
 // CheckSyndromes reports whether Decode would succeed on a codeword
 // whose syndromes are synd (n−k of them, S_0 first) with the given
-// erasures, without the codeword. It runs Decode's pipeline from the
-// syndromes on and replaces the correct-and-recompute step with its
-// syndrome-domain equivalent: the corrected codeword r ⊕ Σ_p e_p·u_p
-// has syndromes S_j ⊕ Σ_p e_p·X_p^j, since syndromes are linear over
-// XOR, and GF(2^8) arithmetic is exact, so the verdict is Decode's on
-// every input. A receiver that scores many erasure hypotheses against
-// one received word (the loss-split search) builds each one's
-// syndromes from cached parts (AddSyndromes) and decodes only the
-// hypothesis that passes.
+// erasures, without the codeword: both run correct, which decides
+// from the syndromes alone. A receiver that scores many erasure
+// hypotheses against one received word (the loss-split search) builds
+// each one's syndromes from cached parts (AddSyndromes) and decodes
+// only the hypothesis that passes.
 func (d *Decoder) CheckSyndromes(synd []byte, erasures []int) bool {
 	c := d.c
 	if len(synd) != c.n-c.k || len(erasures) > c.n-c.k {
@@ -115,26 +99,48 @@ func (d *Decoder) CheckSyndromes(synd []byte, erasures []int) bool {
 		}
 	}
 	copy(d.synd, synd)
+	return d.correct(nil, erasures) == nil
+}
+
+// correct is the correction body Decode and CheckSyndromes share. From
+// the syndromes in d.synd it locates the positions to correct
+// (locate), computes each one's Forney magnitude e_p and checks the
+// corrected word in the syndrome domain: its syndromes are
+// S_j ⊕ Σ_p e_p·X_p^j, since syndromes are linear over XOR, and they
+// must all vanish, or the correction was a miscorrection. GF(2^8)
+// arithmetic is exact, so this is the verdict of recomputing the
+// syndromes from the corrected bytes. A non-nil codeword receives each
+// magnitude in place as it is found, so on failure it is left partly
+// corrected (a magnitude failed) or fully corrected (only the check
+// failed).
+func (d *Decoder) correct(codeword []byte, erasures []int) error {
+	c := d.c
 	if allZero(d.synd) {
-		return true
+		return nil
 	}
 	loc, positions, err := d.locate(erasures)
 	if err != nil {
-		return false
+		return err
 	}
 	d.forneyPrepare(loc)
 	v := append(d.verify[:0], d.synd...)
 	for _, pos := range positions {
 		mag, ok := d.forneyMagnitude(pos)
 		if !ok {
-			return false
+			return ErrTooManyErrors
+		}
+		if codeword != nil {
+			codeword[pos] ^= mag
 		}
 		row := gf256.MulRow(mag)
 		for j := range v {
 			v[j] ^= row[c.synPow[j*c.n+pos]]
 		}
 	}
-	return allZero(v)
+	if !allZero(v) {
+		return ErrTooManyErrors
+	}
+	return nil
 }
 
 // locate runs the decode pipeline between the syndromes (d.synd, not
@@ -226,12 +232,6 @@ func (c *Code) AddSyndromes(synd, part []byte, off int) {
 		}
 		synd[j] ^= s
 	}
-}
-
-// syndromesInto fills synd with S_j = r(α^j) = Σ_i r_i·X_i^j.
-func (c *Code) syndromesInto(synd, codeword []byte) {
-	clear(synd)
-	c.AddSyndromes(synd, codeword, 0)
 }
 
 // berlekampMassey is the textbook Berlekamp–Massey on the decoder's
@@ -333,20 +333,6 @@ func (d *Decoder) chienSearch(sigma []byte, erasures []int) ([]int, error) {
 		return nil, ErrTooManyErrors
 	}
 	return positions, nil
-}
-
-// forneyCorrect computes error magnitudes with Forney's algorithm and
-// repairs the codeword in place, position by position.
-func (d *Decoder) forneyCorrect(codeword, loc []byte, positions []int) error {
-	d.forneyPrepare(loc)
-	for _, pos := range positions {
-		mag, ok := d.forneyMagnitude(pos)
-		if !ok {
-			return ErrTooManyErrors
-		}
-		codeword[pos] ^= mag
-	}
-	return nil
 }
 
 // forneyPrepare forms, from d.synd and the combined locator, the error

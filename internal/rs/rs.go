@@ -109,39 +109,6 @@ func (c *Code) Encode(data []byte) ([]byte, error) {
 	return out, nil
 }
 
-// EncodeInto is Encode writing the codeword into dst (reallocated only
-// when its capacity is short), for callers that reuse a buffer across
-// blocks. Parity is computed by LFSR-style synthetic division against
-// the monic generator, which is algebraically the remainder
-// data·x^(n−k) mod gen — the same value Encode computes via
-// PolyDivMod.
-func (c *Code) EncodeInto(dst, data []byte) ([]byte, error) {
-	if len(data) != c.k {
-		return nil, fmt.Errorf("rs: data length %d, want %d", len(data), c.k)
-	}
-	if cap(dst) < c.n {
-		dst = make([]byte, c.n)
-	}
-	dst = dst[:c.n]
-	copy(dst, data)
-	rem := dst[c.k:]
-	for i := range rem {
-		rem[i] = 0
-	}
-	for i := 0; i < c.k; i++ {
-		fb := data[i] ^ rem[0]
-		copy(rem, rem[1:])
-		rem[len(rem)-1] = 0
-		if fb != 0 {
-			// gen[0] is 1 (monic); gen[1:] multiplies the feedback.
-			for j := range rem {
-				rem[j] ^= gf256.Mul(c.gen[j+1], fb)
-			}
-		}
-	}
-	return dst, nil
-}
-
 // Decode corrects a received codeword in place and returns the k data
 // bytes. erasures lists known-bad positions (0-based indexes into the
 // codeword); pass nil when none are known. The codeword slice is

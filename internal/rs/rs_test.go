@@ -60,28 +60,6 @@ func TestEncodeWrongLength(t *testing.T) {
 	}
 }
 
-// TestEncodeIntoMatchesEncode checks the buffer-reusing encoder
-// against Encode over random geometries, reusing one dst throughout.
-func TestEncodeIntoMatchesEncode(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	var dst []byte
-	for trial := 0; trial < 200; trial++ {
-		n := 2 + rng.Intn(254)
-		c := MustNew(n, 1+rng.Intn(n-1))
-		data := make([]byte, c.K())
-		rng.Read(data)
-		want, _ := c.Encode(data)
-		var err error
-		dst, err = c.EncodeInto(dst[:0], data)
-		if err != nil || !bytes.Equal(dst, want) {
-			t.Fatalf("RS(%d,%d): EncodeInto %x, %v; Encode %x", c.N(), c.K(), dst, err, want)
-		}
-	}
-	if _, err := MustNew(20, 12).EncodeInto(nil, make([]byte, 5)); err == nil {
-		t.Error("expected length error")
-	}
-}
-
 func TestDecodeClean(t *testing.T) {
 	c := MustNew(30, 20)
 	data := make([]byte, 20)
