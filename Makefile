@@ -10,10 +10,10 @@ GO ?= go
 # the deterministic chaos soak, the adaptive-link chaos soak (the
 # closed-loop controller must beat every surviving fixed operating
 # point and regain the top rung on budget), a single-iteration pass
-# over the ProcessFrame, Capture, RS failure-path and split-search
-# benchmarks (so the telemetry-overhead path, the camera readout, the
-# split search's RS reject path and its syndrome-domain search compile
-# and run), and
+# over the ProcessFrame, Capture, RS failure-path, split-search judge
+# and split-search benchmarks (so the telemetry-overhead path, the
+# camera readout, the split search's RS reject path, its judge and its
+# syndrome-domain search compile and run), and
 # the one benchmark gate, bench-gate, which compares no timing and so
 # passes on any host. Each soak test runs once. Budget: 441 s wall on a
 # 2-vCPU VM; race-pipeline (144 s), the test suite (85 s) and
@@ -107,6 +107,7 @@ ingest-soak:
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzDeframe$$' -fuzztime=5s ./internal/packet/
 	$(GO) test -run='^$$' -fuzz='^FuzzRSDecode$$' -fuzztime=5s ./internal/rs/
+	$(GO) test -run='^$$' -fuzz='^FuzzLocatorRoots$$' -fuzztime=5s ./internal/rs/
 	$(GO) test -run='^$$' -fuzz='^FuzzStripSegment$$' -fuzztime=5s ./internal/modem/
 	$(GO) test -run='^$$' -fuzz='^FuzzFrontEndDifferential$$' -fuzztime=5s ./internal/modem/
 	$(GO) test -run='^$$' -fuzz='^FuzzCalibrationTLV$$' -fuzztime=5s ./internal/packet/
@@ -147,13 +148,15 @@ cover:
 
 # bench runs the decode (ProcessFrame), camera (Capture), RS
 # failure-path (DecodeWrongErasures: the wrong loss-split guess the
-# receiver's split search makes on almost every attempt) and split
-# search (SplitSearch: decodeData on a chaos capture's packet that
-# resolves after 691 splits, on one that exhausts the budget, and on a
-# single-gap packet whose moved-gap guesses are all judged and fail)
-# benchmarks once each, so all four compile and run in CI.
+# receiver's split search makes on almost every attempt), split-search
+# judge (CheckSyndromes: RS(35,17) wrong guesses with 11 and with 12
+# erasures, the shapes of almost every guess chaos-4csk judges) and
+# split search (SplitSearch: decodeData on a chaos capture's packet
+# that resolves after 691 splits, on one that exhausts the budget, and
+# on a single-gap packet whose moved-gap guesses are all judged and
+# fail) benchmarks once each, so all five compile and run in CI.
 bench:
-	$(GO) test -run=- -bench='^(BenchmarkProcessFrame|BenchmarkCapture|BenchmarkDecodeWrongErasures|BenchmarkSplitSearch)$$' -benchtime=1x ./...
+	$(GO) test -run=- -bench='^(BenchmarkProcessFrame|BenchmarkCapture|BenchmarkDecodeWrongErasures|BenchmarkCheckSyndromes|BenchmarkSplitSearch)$$' -benchtime=1x ./...
 
 # bench-gate is the one benchmark gate. Everything the seed fixes —
 # SER and its sample size, goodput, block and RS-attempt counts at

@@ -31,7 +31,7 @@ func TestFramePathZeroAlloc(t *testing.T) {
 	)
 	step := func() {
 		r.Reset(msg)
-		typ, body, err := readMessage(r, buf)
+		typ, body, err := readMessage(r, buf, sessionMsgs)
 		if err != nil || typ != msgFrame {
 			t.Fatalf("read: type %d err %v", typ, err)
 		}

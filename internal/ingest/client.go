@@ -62,12 +62,9 @@ func runSessionConn(conn net.Conn, hello Hello, frames []*camera.Frame, quantBit
 	if err := bw.Flush(); err != nil {
 		return nil, err
 	}
-	typ, body, err := readMessage(br, nil)
+	_, body, err := readMessage(br, nil, welcomeMsgs)
 	if err != nil {
 		return nil, fmt.Errorf("ingest: session rejected: %w", err)
-	}
-	if typ != msgWelcome {
-		return nil, fmt.Errorf("ingest: expected WELCOME, got type %d", typ)
 	}
 	welcome, err := decodeWelcome(body)
 	if err != nil {
@@ -90,7 +87,7 @@ func runSessionConn(conn net.Conn, hello Hello, frames []*camera.Frame, quantBit
 		defer readerWG.Done()
 		var buf []byte
 		for {
-			typ, body, err := readMessage(br, buf)
+			typ, body, err := readMessage(br, buf, serverMsgs)
 			if err != nil {
 				readerErr = err
 				return
@@ -120,9 +117,6 @@ func runSessionConn(conn net.Conn, hello Hello, frames []*camera.Frame, quantBit
 				res.Blocks = append(res.Blocks, bl)
 			case msgStats:
 				res.Stats, readerErr = decodeStats(body)
-				return
-			default:
-				readerErr = fmt.Errorf("ingest: unexpected message type %d", typ)
 				return
 			}
 		}

@@ -383,8 +383,8 @@ func (s *Server) serveConn(conn net.Conn) {
 	br := bufio.NewReaderSize(conn, 1<<16)
 	bw := bufio.NewWriterSize(conn, 1<<16)
 
-	typ, body, err := readMessage(br, nil)
-	if err != nil || typ != msgHello {
+	_, body, err := readMessage(br, nil, helloMsgs)
+	if err != nil {
 		return
 	}
 	hello, err := decodeHello(body)
@@ -554,7 +554,7 @@ func (s *Server) runSession(br *bufio.Reader, outc chan wireMsg, sess *session, 
 	)
 loop:
 	for {
-		typ, body, err := readMessage(br, buf)
+		typ, body, err := readMessage(br, buf, sessionMsgs)
 		if err != nil {
 			readErr = err
 			break
@@ -603,9 +603,6 @@ loop:
 			sess.ten.admitted.Inc()
 			sess.stats.Admitted++
 		case msgBye:
-			break loop
-		default:
-			readErr = fmt.Errorf("ingest: unexpected message type %d", typ)
 			break loop
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"net"
 	"net/http/httptest"
 	"runtime"
 	"strconv"
@@ -572,6 +573,42 @@ func TestNonFiniteLinkParamsRejected(t *testing.T) {
 				t.Errorf("%s %v: openSession opened a session", f.name, v)
 			}
 		}
+	}
+}
+
+// TestHostileHelloRefusedAtHeader sends a HELLO header that claims a
+// 16 MiB body, and nothing more. The server must refuse it at the
+// header: return at once, without waiting for the body, having
+// allocated under 1 MiB: a body buffer allocated for the claim would be
+// held for as long as the client keeps the connection open.
+func TestHostileHelloRefusedAtHeader(t *testing.T) {
+	srv, err := New(Config{Telemetry: telemetry.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close(context.Background())
+	client, conn := net.Pipe()
+	defer client.Close()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		srv.serveConn(conn)
+		conn.Close()
+	}()
+	n := maxMessageSize
+	if _, err := client.Write([]byte{byte(n >> 24), byte(n >> 16), byte(n >> 8), byte(n), wireVersion, msgHello}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the server is still reading the claimed 16 MiB HELLO body")
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Errorf("refusing the HELLO header allocated %d bytes", got)
 	}
 }
 

@@ -90,13 +90,39 @@ func writeMessage(w io.Writer, typ byte, body []byte) error {
 	return nil
 }
 
-// readMessage reads one framed message, enforcing the version and the
-// size bound before allocating the body. The header and body reuse
-// buf's storage when it is large enough (allocating only to grow it),
-// so a caller that passes each returned body back in reads a whole
-// connection through one buffer; a body is valid only until the next
-// call that reuses it.
-func readMessage(r io.Reader, buf []byte) (typ byte, body []byte, err error) {
+// msgLimit is the largest body a reader accepts for one message type.
+type msgLimit struct {
+	typ     byte
+	maxBody int
+}
+
+// The message types each reader accepts next, with their largest
+// bodies. readMessage refuses any other type, and any longer body, at
+// the 6-byte header, before it allocates the body, so a hostile length
+// prefix cannot make a connection allocate and hold a buffer its
+// message type never needs.
+var (
+	// A server's first message is a HELLO: the id length byte, a
+	// device id of at most 255 bytes, the order byte and five float64
+	// link parameters (Hello.encode).
+	helloMsgs = []msgLimit{{msgHello, 1 + 255 + 1 + 5*8}}
+	// After its WELCOME, a server takes FRAMEs and an empty BYE.
+	sessionMsgs = []msgLimit{{msgFrame, maxMessageSize - 2}, {msgBye, 0}}
+	// A client takes a WELCOME, then the server's session traffic.
+	welcomeMsgs = []msgLimit{{msgWelcome, maxMessageSize - 2}}
+	serverMsgs  = []msgLimit{
+		{msgAck, maxMessageSize - 2}, {msgShed, maxMessageSize - 2},
+		{msgBlock, maxMessageSize - 2}, {msgStats, maxMessageSize - 2},
+	}
+)
+
+// readMessage reads one framed message, enforcing the version, the
+// size bound and the caller's accepted types and body sizes before
+// allocating the body. The header and body reuse buf's storage when it
+// is large enough (allocating only to grow it), so a caller that
+// passes each returned body back in reads a whole connection through
+// one buffer; a body is valid only until the next call that reuses it.
+func readMessage(r io.Reader, buf []byte, accept []msgLimit) (typ byte, body []byte, err error) {
 	const hdrLen = 6
 	if cap(buf) < hdrLen {
 		buf = make([]byte, hdrLen)
@@ -113,6 +139,18 @@ func readMessage(r io.Reader, buf []byte) (typ byte, body []byte, err error) {
 		return 0, nil, fmt.Errorf("ingest: protocol version %d, want %d", hdr[4], wireVersion)
 	}
 	typ = hdr[5]
+	limit := -1
+	for _, l := range accept {
+		if l.typ == typ {
+			limit = l.maxBody
+		}
+	}
+	if limit < 0 {
+		return 0, nil, fmt.Errorf("ingest: unexpected message type %d", typ)
+	}
+	if n-2 > limit {
+		return 0, nil, fmt.Errorf("ingest: message type %d of %d bytes, at most %d accepted", typ, n-2, limit)
+	}
 	if cap(buf) < n-2 {
 		buf = make([]byte, n-2)
 	}

@@ -346,7 +346,7 @@ func TestMessageRoundTrips(t *testing.T) {
 	if err := writeMessage(&buf, msgHello, hb); err != nil {
 		t.Fatal(err)
 	}
-	typ, body, err := readMessage(&buf, nil)
+	typ, body, err := readMessage(&buf, nil, helloMsgs)
 	if err != nil || typ != msgHello {
 		t.Fatalf("framing: typ %d err %v", typ, err)
 	}
@@ -389,10 +389,10 @@ func TestMessageRoundTrips(t *testing.T) {
 	}
 	raw := buf.Bytes()
 	raw[4] = 99 // version byte
-	if _, _, err := readMessage(bytes.NewReader(raw), nil); err == nil {
+	if _, _, err := readMessage(bytes.NewReader(raw), nil, serverMsgs); err == nil {
 		t.Error("version skew accepted")
 	}
-	if _, _, err := readMessage(bytes.NewReader([]byte{0xFF, 0xFF, 0xFF, 0xFF, 1, 1}), nil); err == nil {
+	if _, _, err := readMessage(bytes.NewReader([]byte{0xFF, 0xFF, 0xFF, 0xFF, 1, 1}), nil, helloMsgs); err == nil {
 		t.Error("hostile length prefix accepted")
 	}
 	if _, err := (Hello{DeviceID: "", Order: 8}).encode(); err == nil {

@@ -1,6 +1,7 @@
 package modem
 
 import (
+	"crypto/subtle"
 	"fmt"
 	"math"
 	"slices"
@@ -131,8 +132,9 @@ func (c SelfHealConfig) withDefaults() SelfHealConfig {
 	return c
 }
 
-// Validate checks the configuration. SymbolRate and WhiteFraction
-// must be finite: each range is tested in the form NaN fails.
+// Validate checks the configuration. SymbolRate, WhiteFraction and
+// SelfHeal.DistanceTheta must be finite: each range is tested in the
+// form NaN fails.
 func (c RxConfig) Validate() error {
 	if !c.Order.Valid() {
 		return fmt.Errorf("modem: invalid order %d", int(c.Order))
@@ -145,6 +147,29 @@ func (c RxConfig) Validate() error {
 	}
 	if c.Code == nil {
 		return fmt.Errorf("modem: nil RS code")
+	}
+	return c.SelfHeal.validate()
+}
+
+// validate rejects thresholds that no frame could meet or that every
+// frame meets: a distance threshold that is NaN, infinite or negative
+// (a frame's mean distance is compared against it), and a negative
+// frame count. Zero means the default for each.
+func (c SelfHealConfig) validate() error {
+	if !(c.DistanceTheta >= 0 && c.DistanceTheta < math.Inf(1)) {
+		return fmt.Errorf("modem: self-heal distance threshold %v", c.DistanceTheta)
+	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"collapse", c.CollapseFrames},
+		{"distance", c.DistanceFrames},
+		{"stale-after", c.StaleAfterFrames},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("modem: self-heal %s frames %d", f.name, f.v)
+		}
 	}
 	return nil
 }
@@ -236,6 +261,7 @@ type rxCounters struct {
 	calibrationSeeded   *telemetry.Counter // rx.calibration_seeded
 	uncalibratedDrops   *telemetry.Counter // rx.uncalibrated_drops
 	sizeFieldBad        *telemetry.Counter // rx.size_field_bad
+	splitExhausted      *telemetry.Counter // rx.split_exhausted
 	rsAttempts          *telemetry.Counter // rx.rs_attempts
 	rsDecodeOK          *telemetry.Counter // rx.rs_decode_ok
 	rsDecodeFail        *telemetry.Counter // rx.rs_decode_fail
@@ -261,6 +287,7 @@ func newRxCounters(t *telemetry.Registry) rxCounters {
 		calibrationSeeded:   t.Counter("rx.calibration_seeded"),
 		uncalibratedDrops:   t.Counter("rx.uncalibrated_drops"),
 		sizeFieldBad:        t.Counter("rx.size_field_bad"),
+		splitExhausted:      t.Counter("rx.split_exhausted"),
 		rsAttempts:          t.Counter("rx.rs_attempts"),
 		rsDecodeOK:          t.Counter("rx.rs_decode_ok"),
 		rsDecodeFail:        t.Counter("rx.rs_decode_fail"),
@@ -396,6 +423,14 @@ type splitJudge struct {
 	base  []byte // maskSynd ⊕ segment 0 at shift 0 ⊕ the last segment at shift missing
 	memo  []byte // vector of middle segment k at shift L at (k−1)·(missing+1)+L
 	have  []bool // which memo vectors are filled
+
+	// The partial sums of the split search's outer levels: for level
+	// k in [1, gaps−2], base ⊕ middle segments 1 … k at the shifts in
+	// preShift[:k], at pre[(k−1)·w] for w syndromes. Levels
+	// 1 … preValid hold.
+	pre      []byte
+	preShift []int
+	preValid int
 }
 
 // maxSplitMemo caps the bytes of segment syndrome vectors the split
@@ -1247,6 +1282,9 @@ func (r *Receiver) decodeData(pkt packet.RxPacket, blk *Block) {
 		ds.order = order
 		tries := 0
 		blk.Recovered = r.searchSplits(blk, order, split, 0, missing, &tries)
+		if !blk.Recovered && tries == maxSplitTries {
+			r.c.splitExhausted.Inc()
+		}
 		return
 	}
 	if len(gaps) == 1 {
@@ -1582,23 +1620,35 @@ func (r *Receiver) slotClass(o int) int {
 }
 
 // guessSyndromes returns a guess's syndromes: the placement's base
-// vector XOR each middle segment's vector at its shift. The vector is
-// valid until the next call.
+// vector XOR each middle segment's vector at its shift. The split
+// search varies its innermost levels fastest, so the sum over the
+// middle segments but the last is kept per level (sj.pre) and reused
+// while its shifts hold: a guess at the innermost level XORs one
+// segment vector onto it. The vector is valid until the next call.
 func (r *Receiver) guessSyndromes(split []int) []byte {
 	sj := &r.ds.sj
 	if !sj.ready {
 		r.prepareJudge()
 	}
-	synd := append(sj.synd[:0], sj.base...)
-	shift := 0
-	for k := 1; k < len(r.ds.gaps); k++ {
-		shift += split[k-1]
-		for i, v := range r.segmentSyndromes(k, shift) {
-			synd[i] ^= v
-		}
+	last := len(r.ds.gaps) - 1 // the last middle segment
+	if last < 1 {
+		return sj.base
 	}
-	sj.synd = synd
-	return synd
+	w := len(sj.base)
+	sum, shift := sj.base, 0
+	for k := 1; k < last; k++ {
+		shift += split[k-1]
+		pre := sj.pre[(k-1)*w : k*w]
+		if k > sj.preValid || sj.preShift[k-1] != shift {
+			subtle.XORBytes(pre, sum, r.segmentSyndromes(k, shift))
+			sj.preShift[k-1] = shift
+			sj.preValid = k
+		}
+		sum = pre
+	}
+	shift += split[last-1]
+	subtle.XORBytes(sj.synd, sum, r.segmentSyndromes(last, shift))
+	return sj.synd
 }
 
 // prepareJudge sets the judge up for the current gap placement: the
@@ -1617,7 +1667,7 @@ func (r *Receiver) prepareJudge() {
 		code.AddSyndromes(sj.maskSynd, sj.word, 0)
 		clear(sj.word)
 		sj.base = make([]byte, w)
-		sj.synd = make([]byte, 0, w)
+		sj.synd = make([]byte, w)
 		sj.spill = make([]byte, w)
 	}
 	copy(sj.base, sj.maskSynd)
@@ -1627,6 +1677,10 @@ func (r *Receiver) prepareJudge() {
 	sj.memo = slices.Grow(sj.memo[:0], stored*w)[:stored*w]
 	sj.have = slices.Grow(sj.have[:0], stored)[:stored]
 	clear(sj.have)
+	levels := max(len(ds.gaps)-2, 0)
+	sj.pre = slices.Grow(sj.pre[:0], levels*w)[:levels*w]
+	sj.preShift = slices.Grow(sj.preShift[:0], levels)[:levels]
+	sj.preValid = 0
 }
 
 // segmentSyndromes returns the syndromes of middle segment k (0 < k <

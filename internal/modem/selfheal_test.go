@@ -2,6 +2,7 @@ package modem
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"colorbars/internal/cie"
@@ -9,6 +10,7 @@ import (
 	"colorbars/internal/colorspace"
 	"colorbars/internal/csk"
 	"colorbars/internal/packet"
+	"colorbars/internal/rs"
 )
 
 // healLink builds a tx/rx pair wired directly at the symbol level (no
@@ -291,5 +293,38 @@ func TestSelfHealCountersInSnapshot(t *testing.T) {
 	}
 	if snap.Counters["rx.stale_calibrations"] == 0 {
 		t.Error("rx.stale_calibrations missing from telemetry snapshot")
+	}
+}
+
+// TestNewReceiverRejectsBadSelfHeal: observeFrameHealth compares each
+// frame against the self-heal thresholds as given, so a CollapseFrames
+// of −1 would resync on every frame, a NaN or +Inf DistanceTheta would
+// never count a blown-up frame, and a −Inf or negative one would count
+// every frame. NewReceiver must refuse each such value, and zero must
+// still select every default.
+func TestNewReceiverRejectsBadSelfHeal(t *testing.T) {
+	cfg := RxConfig{Order: csk.CSK8, SymbolRate: 2000, WhiteFraction: 0.2, Code: rs.MustNew(40, 24)}
+	for _, heal := range []SelfHealConfig{
+		{DistanceTheta: math.NaN()},
+		{DistanceTheta: math.Inf(1)},
+		{DistanceTheta: math.Inf(-1)},
+		{DistanceTheta: -1},
+		{CollapseFrames: -1},
+		{DistanceFrames: -1},
+		{StaleAfterFrames: -1},
+	} {
+		bad := cfg
+		bad.SelfHeal = heal
+		if _, err := NewReceiver(bad); err == nil {
+			t.Errorf("NewReceiver accepted self-heal %+v", heal)
+		}
+	}
+	rx, err := NewReceiver(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := SelfHealConfig{CollapseFrames: 45, DistanceTheta: 22, DistanceFrames: 6, StaleAfterFrames: 150}
+	if rx.heal.cfg != want {
+		t.Errorf("zero self-heal thresholds resolved to %+v, want the defaults %+v", rx.heal.cfg, want)
 	}
 }

@@ -507,7 +507,7 @@ func TestSplitJudgeFollowsOperatingPoint(t *testing.T) {
 // deframes a data packet for which want, given its gap count, whether
 // it decoded and its RS attempts, holds. It returns the receiver, left
 // in its state after that frame, the packet and its attempts.
-func searchPacket(b *testing.B, c chaosCapture, want func(gaps int, recovered bool, attempts int) bool) (*Receiver, packet.RxPacket, int) {
+func searchPacket(b testing.TB, c chaosCapture, want func(gaps int, recovered bool, attempts int) bool) (*Receiver, packet.RxPacket, int) {
 	b.Helper()
 	rx, err := NewReceiver(RxConfig{
 		Order: c.point.Order, SymbolRate: c.point.SymbolRate, WhiteFraction: c.point.WhiteFraction, Code: c.point.Code,
@@ -537,6 +537,41 @@ func searchPacket(b *testing.B, c chaosCapture, want func(gaps int, recovered bo
 	return nil, packet.RxPacket{}, 0
 }
 
+// resolvedSplits and exhaustedSplits pick, for searchPacket, a
+// multi-gap packet that decodes after at least 200 splits and one that
+// tries all maxSplitTries splits and fails.
+func resolvedSplits(gaps int, recovered bool, attempts int) bool {
+	return gaps > 1 && recovered && attempts >= 200
+}
+
+func exhaustedSplits(gaps int, recovered bool, attempts int) bool {
+	return gaps > 1 && !recovered && attempts == maxSplitTries
+}
+
+// TestSplitExhaustedCounter decodes BenchmarkSplitSearch's two
+// multi-gap packets once more: rx.split_exhausted counts the packet
+// whose search tries all maxSplitTries splits without decoding once,
+// and the packet that decodes at its 691st split not at all.
+func TestSplitExhaustedCounter(t *testing.T) {
+	c := newChaosCapture(t, csk.CSK4, 1500, camera.Nexus5(), 3, 5)
+	for _, tc := range []struct {
+		name string
+		want func(gaps int, recovered bool, attempts int) bool
+		adds int64
+	}{
+		{"resolved", resolvedSplits, 0},
+		{"exhausted", exhaustedSplits, 1},
+	} {
+		rx, pkt, _ := searchPacket(t, c, tc.want)
+		before := rx.c.splitExhausted.Value()
+		var blk Block
+		rx.decodeData(pkt, &blk)
+		if got := rx.c.splitExhausted.Value() - before; got != tc.adds {
+			t.Errorf("%s packet: rx.split_exhausted rose by %d, want %d", tc.name, got, tc.adds)
+		}
+	}
+}
+
 // BenchmarkSplitSearch times decodeData on three packets of seeded
 // Nexus 5 captures under perfbench's chaos schedule. At 4-CSK/1.5 kHz
 // (seed 5), "resolved" is a multi-gap packet that decodes at its 691st
@@ -552,12 +587,8 @@ func BenchmarkSplitSearch(b *testing.B) {
 		c    chaosCapture
 		want func(gaps int, recovered bool, attempts int) bool
 	}{
-		{"resolved", split, func(gaps int, recovered bool, attempts int) bool {
-			return gaps > 1 && recovered && attempts >= 200
-		}},
-		{"exhausted", split, func(gaps int, recovered bool, attempts int) bool {
-			return gaps > 1 && !recovered && attempts == maxSplitTries
-		}},
+		{"resolved", split, resolvedSplits},
+		{"exhausted", split, exhaustedSplits},
 		{"moved-gap", moved, func(gaps int, recovered bool, attempts int) bool {
 			return gaps == 1 && !recovered && attempts == 7
 		}},

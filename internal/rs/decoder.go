@@ -2,6 +2,7 @@ package rs
 
 import (
 	"fmt"
+	"math/bits"
 
 	"colorbars/internal/gf256"
 )
@@ -34,7 +35,33 @@ type Decoder struct {
 	loc              []byte
 	omega, deriv     []byte
 	positions        []int
-	erased           []bool // per position; all false between calls
+
+	// gSet holds the positions whose erasure locator gamma holds, kept
+	// across calls so that the next call's Γ can be updated instead of
+	// rebuilt (erasureLocator).
+	gSet posSet
+}
+
+// posSet is a set of codeword positions (n ≤ 255), one bit each.
+type posSet [4]uint64
+
+func (s *posSet) add(p int)      { s[p>>6] |= 1 << (p & 63) }
+func (s *posSet) has(p int) bool { return s[p>>6]>>(p&63)&1 != 0 }
+func (s *posSet) len() (n int) {
+	for _, w := range s {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
+// appendTo appends the set's positions to dst, ascending.
+func (s *posSet) appendTo(dst []int) []int {
+	for i, w := range s {
+		for ; w != 0; w &= w - 1 {
+			dst = append(dst, i<<6|bits.TrailingZeros64(w))
+		}
+	}
+	return dst
 }
 
 // NewDecoder returns a decoder with scratch sized for the code.
@@ -44,7 +71,7 @@ func (c *Code) NewDecoder() *Decoder {
 		c:         c,
 		synd:      make([]byte, twoT),
 		verify:    make([]byte, twoT),
-		gamma:     make([]byte, 0, twoT+1),
+		gamma:     append(make([]byte, 0, twoT+1), 1),
 		fsynd:     make([]byte, twoT),
 		sigma:     make([]byte, 0, twoT+2),
 		prev:      make([]byte, 0, twoT+2),
@@ -53,7 +80,6 @@ func (c *Code) NewDecoder() *Decoder {
 		omega:     make([]byte, twoT),
 		deriv:     make([]byte, 0, twoT+1),
 		positions: make([]int, 0, twoT),
-		erased:    make([]bool, c.n),
 	}
 }
 
@@ -145,31 +171,50 @@ func (d *Decoder) correct(codeword []byte, erasures []int) error {
 
 // locate runs the decode pipeline between the syndromes (d.synd, not
 // all zero) and Forney's algorithm: the erasure locator Γ, the Forney
-// syndromes, Berlekamp–Massey and the Chien search. It returns the
+// syndromes, Berlekamp–Massey and the locator's roots. It returns the
 // combined locator loc = Γ·σ and the positions to correct, ascending,
 // both in scratch.
 func (d *Decoder) locate(erasures []int) (loc []byte, positions []int, err error) {
 	c := d.c
-	// Erasure locator Γ(x) = Π (1 + X_i·x), built by in-place binomial
-	// multiplication (descending index keeps each step reading
-	// pre-update coefficients) — the same convolution PolyMul computes.
-	g := append(d.gamma[:0], 1)
-	for _, pos := range erasures {
-		row := gf256.MulRow(gf256.Exp(c.n - 1 - pos))
-		g = append(g, 0)
-		for i := len(g) - 1; i >= 1; i-- {
-			g[i] ^= row[g[i-1]]
+	// The first word is built in a register: a code of up to 64
+	// bytes, as the receiver's are, keeps every position there.
+	var eras posSet
+	var w0 uint64
+	for _, p := range erasures {
+		if p < 64 {
+			w0 |= 1 << p
+		} else {
+			eras.add(p)
 		}
 	}
-	d.gamma = g
+	eras[0] |= w0
+	if eras.len() != len(erasures) {
+		// A repeated erasure is one position but two degrees of Γ, so
+		// loc cannot have deg(loc) distinct roots (see chienSearch).
+		return nil, nil, ErrTooManyErrors
+	}
+	g := d.erasureLocator(&eras, len(erasures))
 
 	// Modified (Forney) syndromes: Ξ(x) = Γ(x)·S(x) mod x^(n−k).
-	// Berlekamp–Massey reads only Ξ_j for j ≥ the erasure count, so
-	// only those are formed.
-	for j := len(erasures); j < len(d.fsynd); j++ {
+	// Berlekamp–Massey reads only Ξ_j for j ≥ the erasure count e, and
+	// each of those is Σ_i Γ_i·S_(j−i) over all of Γ: two are summed
+	// per pass over Γ, so each row serves two lookups.
+	e := len(erasures)
+	j := e
+	for ; j+1 < len(d.fsynd); j += 2 {
+		w := d.synd[j-e : j+2]
+		var s0, s1 byte
+		for i, gi := range g {
+			row := gf256.MulRow(gi)
+			s0 ^= row[w[e-i]]
+			s1 ^= row[w[e+1-i]]
+		}
+		d.fsynd[j], d.fsynd[j+1] = s0, s1
+	}
+	if j < len(d.fsynd) {
 		var s byte
-		for i := 0; i < len(g) && i <= j; i++ {
-			s ^= gf256.MulRow(g[i])[d.synd[j-i]]
+		for i, gi := range g {
+			s ^= gf256.MulRow(gi)[d.synd[j-i]]
 		}
 		d.fsynd[j] = s
 	}
@@ -178,7 +223,11 @@ func (d *Decoder) locate(erasures []int) (loc []byte, positions []int, err error
 	if err != nil {
 		return nil, nil, err
 	}
-	positions, err = d.chienSearch(errLoc, erasures)
+	if len(errLoc) <= 4 {
+		positions, err = d.smallLocatorPositions(errLoc, &eras)
+	} else {
+		positions, err = d.chienSearch(errLoc, &eras)
+	}
 	if err != nil {
 		return nil, nil, err
 	}
@@ -196,6 +245,69 @@ func (d *Decoder) locate(erasures []int) (loc []byte, positions []int, err error
 	}
 	d.loc = loc
 	return loc, positions, nil
+}
+
+// erasureLocator returns the erasure locator Γ(x) = Π (1 + X_i·x) over
+// the count positions in eras, in scratch. Γ depends only on the set
+// of positions, so it is built from the previous call's Γ when the two
+// sets differ in at most half as many positions as eras holds: the
+// binomials of positions that left are divided out, and those of
+// positions that entered multiplied in. GF(2^8) arithmetic is exact,
+// so every coefficient equals a rebuild's.
+func (d *Decoder) erasureLocator(eras *posSet, count int) []byte {
+	xRow := d.c.xRow
+	var left, entered posSet
+	changes := 0
+	for i := range eras {
+		diff := eras[i] ^ d.gSet[i]
+		left[i], entered[i] = diff&d.gSet[i], diff&eras[i]
+		changes += bits.OnesCount64(diff)
+	}
+	g := d.gamma
+	if 2*changes > count {
+		g, entered = append(g[:0], 1), *eras
+	} else {
+		for i, w := range left {
+			for ; w != 0; w &= w - 1 {
+				g = divBinomial(g, xRow[i<<6|bits.TrailingZeros64(w)])
+			}
+		}
+	}
+	for i, w := range entered {
+		for ; w != 0; w &= w - 1 {
+			g = mulBinomial(g, xRow[i<<6|bits.TrailingZeros64(w)])
+		}
+	}
+	d.gamma, d.gSet = g, *eras
+	return g
+}
+
+// mulBinomial multiplies g (lowest coefficient first) by (1 + X·x) in
+// place, given X's product-table row: coefficient i becomes
+// g_i ⊕ X·g_(i−1), the convolution PolyMul computes, with carry
+// holding each pre-update g_(i−1).
+func mulBinomial(g []byte, x *[256]byte) []byte {
+	carry := g[0]
+	h := g[1:]
+	for i, v := range h {
+		h[i] = v ^ x[carry]
+		carry = v
+	}
+	return append(g, x[carry])
+}
+
+// divBinomial divides g (lowest coefficient first) by a factor
+// (1 + X·x) in place, given X's product-table row: g = (1 + X·x)·q
+// gives q_0 = g_0 and q_i = g_i ⊕ X·q_(i−1), so ascending index
+// carries each q_(i−1) to the next step. The division is exact, so
+// the dropped top coefficient is X·q_(m−1) with no remainder.
+func divBinomial(g []byte, x *[256]byte) []byte {
+	q := g[0]
+	for i := 1; i < len(g)-1; i++ {
+		q = g[i] ^ x[q]
+		g[i] = q
+	}
+	return g[:len(g)-1]
 }
 
 // AddSyndromes XORs into synd (n−k syndromes, S_0 first) the
@@ -236,34 +348,39 @@ func (c *Code) AddSyndromes(synd, part []byte, off int) {
 
 // berlekampMassey is the textbook Berlekamp–Massey on the decoder's
 // scratch buffers: polynomial updates write in place (with a swap for
-// the length-change case) instead of allocating.
+// the length-change case) instead of allocating. prev is kept divided
+// by its discrepancy b, so each correction δ/b·x^m·prev is one lookup
+// per coefficient in δ's row: the same products, since GF(2^8)
+// multiplication is associative and exact.
 func (d *Decoder) berlekampMassey(synd []byte, numEras, twoT int) ([]byte, error) {
 	sigma := append(d.sigma[:0], 1)
-	prev := append(d.prev[:0], 1)
+	prev := append(d.prev[:0], 1) // divided by b = 1
 	tmp := d.tmp[:0]
 	var l int
 	var m = 1
-	var b byte = 1
 	for i := 0; i < twoT-numEras; i++ {
 		n := i + numEras
 		delta := synd[n]
-		for j := 1; j <= l && j < len(sigma); j++ {
+		for j := 1; j < min(l+1, len(sigma)); j++ {
 			delta ^= gf256.MulRow(sigma[j])[synd[n-j]]
 		}
 		if delta == 0 {
 			m++
 			continue
 		}
-		coef := gf256.Div(delta, b)
+		row := gf256.MulRow(delta)
 		if 2*l <= i {
-			tmp = append(tmp[:0], sigma...)
-			sigma = subShiftedInPlace(sigma, prev, coef, m)
+			inv := gf256.MulRow(gf256.Inv(delta))
+			tmp = tmp[:0]
+			for _, c := range sigma {
+				tmp = append(tmp, inv[c])
+			}
+			sigma = subShiftedInPlace(sigma, prev, row, m)
 			prev, tmp = tmp, prev
 			l = i + 1 - l
-			b = delta
 			m = 1
 		} else {
-			sigma = subShiftedInPlace(sigma, prev, coef, m)
+			sigma = subShiftedInPlace(sigma, prev, row, m)
 			m++
 		}
 	}
@@ -278,15 +395,15 @@ func (d *Decoder) berlekampMassey(synd []byte, numEras, twoT int) ([]byte, error
 	return sigma[:deg+1], nil
 }
 
-// subShiftedInPlace computes sigma ^= coef·x^shift·prev, extending
-// sigma with zeros as needed. sigma and prev must not alias.
-func subShiftedInPlace(sigma, prev []byte, coef byte, shift int) []byte {
+// subShiftedInPlace computes sigma ^= coef·x^shift·prev, given coef's
+// product-table row, extending sigma with zeros as needed. sigma and
+// prev must not alias.
+func subShiftedInPlace(sigma, prev []byte, coef *[256]byte, shift int) []byte {
 	for len(sigma) < len(prev)+shift {
 		sigma = append(sigma, 0)
 	}
-	row := gf256.MulRow(coef)
 	for i, c := range prev {
-		sigma[i+shift] ^= row[c]
+		sigma[i+shift] ^= coef[c]
 	}
 	return sigma
 }
@@ -295,24 +412,23 @@ func subShiftedInPlace(sigma, prev []byte, coef byte, shift int) []byte {
 // root of the combined locator loc = Γ·σ, ascending, into scratch, and
 // fails unless their count equals deg(loc) = len(erasures) + deg(σ)
 // (Γ's leading coefficient is the product of the erasure locators and
-// σ comes back trimmed, so neither product term vanishes).
+// σ comes back trimmed, so neither product term vanishes). locate
+// runs it only for deg(σ) ≥ 4; smallLocatorPositions reaches the same
+// verdict and positions below that.
 //
 // Γ's roots are exactly the erased positions, and a field has no zero
 // divisors, so position i is a root of loc iff it is erased or a root
 // of σ. Only σ is evaluated, and its degree is at most half the parity
 // the erasures leave, so invPow's rows cover it. A repeated erasure
-// is one position but two degrees of Γ, so it fails the count, as a
-// double root does in the search over loc.
-func (d *Decoder) chienSearch(sigma []byte, erasures []int) ([]int, error) {
+// would be one position but two degrees of Γ and fail the count, as a
+// double root does in the search over loc; locate rejects it first,
+// so erasures holds len(erasures) distinct positions.
+func (d *Decoder) chienSearch(sigma []byte, erasures *posSet) ([]int, error) {
 	c := d.c
-	erased := d.erased
-	for _, e := range erasures {
-		erased[e] = true
-	}
 	w := c.n - c.k
 	positions := d.positions[:0]
 	for i := 0; i < c.n; i++ {
-		if erased[i] {
+		if erasures.has(i) {
 			positions = append(positions, i)
 			continue
 		}
@@ -325,14 +441,36 @@ func (d *Decoder) chienSearch(sigma []byte, erasures []int) ([]int, error) {
 			positions = append(positions, i)
 		}
 	}
-	for _, e := range erasures {
-		erased[e] = false
-	}
 	d.positions = positions
-	if len(positions) != len(erasures)+len(sigma)-1 {
+	if len(positions) != erasures.len()+len(sigma)-1 {
 		return nil, ErrTooManyErrors
 	}
 	return positions, nil
+}
+
+// smallLocatorPositions is the Chien search for σ of degree at most 3:
+// the same verdict and positions, from σ's roots (locatorRoots)
+// instead of an evaluation at every position. The search succeeds iff
+// σ has deg(σ) distinct roots, each the inverse locator of a position
+// inside the code that is not erased, and it returns those positions
+// and the erasures, ascending. For deg(σ) = 0 that is the erasures.
+func (d *Decoder) smallLocatorPositions(sigma []byte, erasures *posSet) ([]int, error) {
+	all := *erasures
+	if len(sigma) > 1 {
+		var x [3]byte
+		if !locatorRoots(sigma, &x) {
+			return nil, ErrTooManyErrors
+		}
+		for _, xi := range x[:len(sigma)-1] {
+			p := int(d.c.locPos[xi])
+			if p < 0 || all.has(p) {
+				return nil, ErrTooManyErrors // outside the code, or erased
+			}
+			all.add(p)
+		}
+	}
+	d.positions = all.appendTo(d.positions[:0])
+	return d.positions, nil
 }
 
 // forneyPrepare forms, from d.synd and the combined locator, the error

@@ -2,8 +2,12 @@ package rs
 
 import (
 	"bytes"
+	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
+
+	"colorbars/internal/gf256"
 )
 
 // TestPropertyErrorsPlusErasuresRoundTrip is the full decoding-radius
@@ -167,6 +171,78 @@ func TestPropertyMatchesReference(t *testing.T) {
 	// little about one of the two paths.
 	if ok < 1000 || failed < 1000 {
 		t.Errorf("%d decodes succeeded and %d failed; want at least 1000 of each", ok, failed)
+	}
+}
+
+// TestErasureLocatorFollowsSets walks one Decoder per code through
+// erasure sets that each differ from the last in a few positions, as
+// consecutive loss-split guesses do, so that its erasure locator is
+// mostly updated rather than rebuilt. Every call must agree with the
+// reference pipeline, and after it the decoder's Γ must equal the
+// product of the binomials of the set it was built for. The codes
+// longer than 64 bytes put positions past the first word of the
+// position set.
+func TestErasureLocatorFollowsSets(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	updates := 0
+	for _, g := range [][2]int{{35, 17}, {33, 11}, {200, 160}, {255, 223}} {
+		c := MustNew(g[0], g[1])
+		n, parity := c.n, c.n-c.k
+		dec := c.NewDecoder()
+		erased := map[int]bool{}
+		for step := 0; step < 800; step++ {
+			for moves := rng.Intn(4); moves > 0; moves-- {
+				switch p := rng.Intn(n); {
+				case erased[p]:
+					delete(erased, p)
+				case len(erased) < parity:
+					erased[p] = true
+				}
+			}
+			var erasures []int
+			for _, p := range rng.Perm(n) {
+				if erased[p] {
+					erasures = append(erasures, p)
+				}
+			}
+			if rng.Intn(2) == 0 {
+				slices.Sort(erasures) // as the receiver lists them
+			}
+			data := make([]byte, c.k)
+			rng.Read(data)
+			cw, err := c.Encode(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range erasures {
+				cw[p] = 0
+			}
+			// Up to two errors: some calls decode, most fail as
+			// wrong guesses do.
+			for e := rng.Intn(3); e > 0; e-- {
+				cw[rng.Intn(n)] ^= byte(1 + rng.Intn(255))
+			}
+			before := dec.gSet
+			checkAgainstReference(t, c, dec, cw, erasures)
+			changes := 0
+			for i, w := range dec.gSet {
+				changes += bits.OnesCount64(w ^ before[i])
+			}
+			if changes > 0 && 2*changes <= len(erasures) {
+				updates++ // erasureLocator's update path, not a rebuild
+			}
+			gamma := []byte{1}
+			for _, p := range dec.gSet.appendTo(nil) {
+				gamma = gf256.PolyMul(gamma, []byte{1, gf256.Exp(n - 1 - p)})
+			}
+			if !bytes.Equal(dec.gamma, gamma) {
+				t.Fatalf("RS(%d,%d) step %d: Γ %x for positions %v, want %x",
+					n, c.k, step, dec.gamma, dec.gSet.appendTo(nil), gamma)
+			}
+		}
+	}
+	if updates < 1000 {
+		t.Errorf("Γ was updated on %d calls; the walk says little about the update", updates)
 	}
 }
 

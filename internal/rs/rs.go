@@ -13,7 +13,8 @@
 //
 // The decoder implements the textbook pipeline: syndrome computation,
 // Berlekamp–Massey (with erasure initialization via the Forney
-// variant), Chien search, and Forney's algorithm for error magnitudes.
+// variant), the error locator's roots (from tables for degree up to 3,
+// by Chien search above), and Forney's algorithm for error magnitudes.
 // Its polynomial evaluations read per-code power tables and the gf256
 // product table instead of running Horner chains (DESIGN.md §17); the
 // allocating textbook form lives in the tests as the reference oracle.
@@ -42,6 +43,11 @@ type Code struct {
 	//   invPow[i·(n−k) + j] = X_i^(−j): the powers of the point the
 	//                         Chien search and Forney evaluate at i.
 	synPow, invPow []byte
+	// xRow[i] is the product-table row of X_i, for the erasure
+	// locator's binomials (1 + X_i·x); locPos[X_i] = i, and −1 for
+	// every field element that is no position's locator.
+	xRow   []*[256]byte
+	locPos [256]int16
 }
 
 // New returns an RS(n, k) code over GF(2^8). n must be in (k, 255]
@@ -67,7 +73,16 @@ func New(n, k int) (*Code, error) {
 			invPow[i*twoT+j] = gf256.Exp(-j * (n - 1 - i))
 		}
 	}
-	return &Code{n: n, k: k, gen: gen, synPow: synPow, invPow: invPow}, nil
+	c := &Code{n: n, k: k, gen: gen, synPow: synPow, invPow: invPow, xRow: make([]*[256]byte, n)}
+	for x := range c.locPos {
+		c.locPos[x] = -1
+	}
+	for i := 0; i < n; i++ {
+		x := gf256.Exp(n - 1 - i)
+		c.xRow[i] = gf256.MulRow(x)
+		c.locPos[x] = int16(i)
+	}
+	return c, nil
 }
 
 // MustNew is New, panicking on invalid parameters. For package-level

@@ -2,6 +2,7 @@ package rs
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -391,5 +392,58 @@ func BenchmarkDecodeWrongErasures(b *testing.B) {
 		if _, err := dec.Decode(buf, erasures); err == nil {
 			b.Fatal("a wrong erasure set decoded")
 		}
+	}
+}
+
+// BenchmarkCheckSyndromes times the loss-split search's judge on its
+// two common shapes: RS(35,17), the default 4-CSK link's code, with 11
+// and with 12 erased bytes in four runs, one per inter-frame gap. Each
+// op judges one wrong guess. Guesses come in the search's order: the
+// innermost level moves the loss between the last two gaps (the third
+// run's end and the fourth run's start move together by δ = 0, +1, −1,
+// +2, −2), then an outer level moves the second run by one byte and
+// the innermost level starts over (δ = 0, +1, −1). Each guess's
+// syndromes are a random word's, as a wrong placement of the observed
+// symbols leaves them, and every guess must fail.
+func BenchmarkCheckSyndromes(b *testing.B) {
+	c := MustNew(35, 17)
+	for _, erased := range []int{11, 12} {
+		b.Run(fmt.Sprintf("%d-erasures", erased), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(int64(erased)))
+			type guess struct {
+				synd     []byte
+				erasures []int
+			}
+			var guesses []guess
+			run := func(eras []int, from, to int) []int {
+				for p := from; p < to; p++ {
+					eras = append(eras, p)
+				}
+				return eras
+			}
+			third := erased - 9 // bytes in the third run at δ = 0
+			for _, at := range []struct{ second, moves int }{{9, 5}, {10, 3}} {
+				for _, d := range []int{0, 1, -1, 2, -2}[:at.moves] {
+					g := guess{synd: make([]byte, c.ParityBytes())}
+					word := make([]byte, c.N())
+					rng.Read(word)
+					c.AddSyndromes(g.synd, word, 0)
+					g.erasures = run(g.erasures, 0, 3)
+					g.erasures = run(g.erasures, at.second, at.second+3)
+					g.erasures = run(g.erasures, 18, 18+third+d)
+					g.erasures = run(g.erasures, 26+d, 29)
+					guesses = append(guesses, g)
+				}
+			}
+			dec := c.NewDecoder()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				g := guesses[i%len(guesses)]
+				if dec.CheckSyndromes(g.synd, g.erasures) {
+					b.Fatal("a wrong guess passed")
+				}
+			}
+		})
 	}
 }
